@@ -197,16 +197,23 @@ def plan_supports_disjoint(plan: ActionPlan) -> bool:
     return True
 
 
-def _materialize(bumps: Iterable[Bump], scale: int) -> PLMapInterval:
+def _glue(points: Iterable[tuple[Fraction, Fraction]]) -> PLMapInterval:
+    """Interval map through `points`, laid left to right, from (0,0) to (1,1)."""
     pts: list[tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(0))]
-    for bp in sorted(bumps, key=lambda b: b.lo):
-        for x, y in zip(bp.xs, bp.ys):
-            pt = (Fraction(x, scale), Fraction(y, scale))
-            if pt != pts[-1]:
-                pts.append(pt)
+    for pt in points:
+        if pt != pts[-1]:
+            pts.append(pt)
     if pts[-1] != (1, 1):
         pts.append((Fraction(1), Fraction(1)))
     return PLMapInterval.from_points(pts)
+
+
+def _materialize(bumps: Iterable[Bump], scale: int) -> PLMapInterval:
+    return _glue(
+        (Fraction(x, scale), Fraction(y, scale))
+        for bp in sorted(bumps, key=lambda b: b.lo)
+        for x, y in zip(bp.xs, bp.ys)
+    )
 
 
 @dataclass(frozen=True)
@@ -296,27 +303,15 @@ def build_faithful_on(words: Iterable[Union[FreeProductWord, str]]) -> FaithfulA
         if w.is_identity():
             raise TrivialWordError("word reduces to the identity")
     blocks = [build_separating_action(w) for w in parsed]
-    n = len(blocks)
-    den = n + 1
-
-    def rescale(points, k):
-        return [((k + x) / den, (k + y) / den) for x, y in points]
-
-    maps = {}
-    for gen in ("a", "b", "t"):
-        pts = [(Fraction(0), Fraction(0))]
-        for k, asg in enumerate(blocks):
-            for pt in rescale(asg.map_for(gen).points, k):
-                if pt != pts[-1]:
-                    pts.append(pt)
-        if pts[-1] != (1, 1):
-            pts.append((Fraction(1), Fraction(1)))
-        maps[gen] = PLMapInterval.from_points(pts)
-
-    witnesses = tuple(
-        (k + asg.basepoint) / den for k, asg in enumerate(blocks)
-    )
-    assignment = ActionAssignment(
-        a=maps["a"], b=maps["b"], t=maps["t"], basepoint=witnesses[0]
-    )
+    den = len(blocks) + 1
+    maps = {
+        gen: _glue(
+            ((k + x) / den, (k + y) / den)
+            for k, asg in enumerate(blocks)
+            for x, y in asg.map_for(gen).points
+        )
+        for gen in ("a", "b", "t")
+    }
+    witnesses = tuple((k + asg.basepoint) / den for k, asg in enumerate(blocks))
+    assignment = ActionAssignment(**maps, basepoint=witnesses[0])
     return FaithfulAction(assignment, tuple(parsed), witnesses)

@@ -11,14 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from .intervals import IntervalSet, circle_closure, unit_canon
-from .plmaps import (
-    DomainMismatchError,
-    PLMap,
-    PLMapCircle,
-    commutator,
-    compose,
-    invert,
-)
+from .plmaps import PLMap, PLMapCircle, commutator, compose, invert, require_same_domain
 
 
 class HypothesisViolatedError(ValueError):
@@ -38,15 +31,9 @@ def _image(f: PLMap, s: IntervalSet) -> IntervalSet:
     return s.map_endpoints(f.evaluate)
 
 
-def _require_same_domain(*maps):
-    first = type(maps[0])
-    if any(type(m) is not first for m in maps):
-        raise DomainMismatchError("maps live on different domains")
-
-
 def check_commutator_support(f: PLMap, g: PLMap) -> bool:
     """closure(supp [f,g]) inside supp f + supp g + closure(supp f meet supp g)."""
-    _require_same_domain(f, g)
+    require_same_domain(f, g)
     sf, sg = f.support(), g.support()
     lhs = _closure(f, commutator(f, g).support())
     rhs = sf.union(sg).union(_closure(f, sf.intersection(sg)))
@@ -67,7 +54,7 @@ def check_phi_support(b: PLMap, c: PLMap, d: PLMap) -> bool:
 
     Requires supp c and supp d disjoint; holds for all homeomorphisms.
     """
-    _require_same_domain(b, c, d)
+    require_same_domain(b, c, d)
     _check_cd_disjoint(c, d)
     sb, sc, sd = b.support(), c.support(), d.support()
     phi = _phi(b, c, d)
@@ -91,7 +78,7 @@ def check_c1_containment(b: PLMap, c: PLMap, d: PLMap) -> C1ContainmentReport:
     True for C^1 triples; PL maps may legitimately violate it, so the
     offending set is returned rather than asserted away.
     """
-    _require_same_domain(b, c, d)
+    require_same_domain(b, c, d)
     _check_cd_disjoint(c, d)
     phi = _phi(b, c, d)
     lhs = _closure(b, phi.support().difference(b.support()))
@@ -133,7 +120,7 @@ def check_two_jumps_prefix(data: TwoJumpsData) -> TwoJumpsReport:
     (ii) swaps the roles.  Only the finite prefix is checked; the regularity
     conclusion needs infinite sequences and is not drawn here.
     """
-    _require_same_domain(data.f, data.g)
+    require_same_domain(data.f, data.g)
     gaps = []
     failures = []
     for i, (s, t, y) in enumerate(data.triples):

@@ -57,9 +57,12 @@ def _write_output(args, text: str):
 
 def _load_json(path: str) -> dict:
     try:
-        return json.loads(_read(path))
+        doc = json.loads(_read(path))
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: invalid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: the top-level JSON value must be an object")
+    return doc
 
 
 def _emit(args, doc: dict, text_lines: list[str]):
@@ -145,36 +148,27 @@ def cmd_realize(args) -> int:
     return EXIT_OK
 
 
-def _verify_comm_supp(args, payload):
+def _verify_sampled(args, payload, keys, draw, check):
+    """Run `check` on the payload maps named by `keys`, else on seeded draws."""
     if payload is not None:
-        f = serialize.obj_to_map(payload["maps"]["f"])
-        g = serialize.obj_to_map(payload["maps"]["g"])
-        ok = check_commutator_support(f, g)
+        maps = payload["maps"]
+        ok = check(*(serialize.obj_to_map(maps[k]) for k in keys))
         return ok, {"samples": 1, "failures": 0 if ok else 1}
     rng = Random(args.seed)
     failures = 0
     for i in range(args.samples):
         domain = "S1" if i % 4 == 3 else "I"
-        f, g = random_pair(rng, domain)
-        if not check_commutator_support(f, g):
+        if not check(*draw(rng, domain)):
             failures += 1
     return failures == 0, {"samples": args.samples, "failures": failures}
+
+
+def _verify_comm_supp(args, payload):
+    return _verify_sampled(args, payload, "fg", random_pair, check_commutator_support)
 
 
 def _verify_phi_supp(args, payload):
-    if payload is not None:
-        maps = payload["maps"]
-        b, c, d = (serialize.obj_to_map(maps[k]) for k in ("b", "c", "d"))
-        ok = check_phi_support(b, c, d)
-        return ok, {"samples": 1, "failures": 0 if ok else 1}
-    rng = Random(args.seed)
-    failures = 0
-    for i in range(args.samples):
-        domain = "S1" if i % 4 == 3 else "I"
-        b, c, d = random_phi_triple(rng, domain)
-        if not check_phi_support(b, c, d):
-            failures += 1
-    return failures == 0, {"samples": args.samples, "failures": failures}
+    return _verify_sampled(args, payload, "bcd", random_phi_triple, check_phi_support)
 
 
 def _verify_c1(args, payload):

@@ -1,9 +1,11 @@
 """Exact piecewise-linear orientation-preserving homeomorphisms of I and S1.
 
-Interval maps are breakpoint graphs pinned at (0,0) and (1,1).  Circle maps
-are stored as one period of a lift: breakpoints on [0,1] with F(1) = F(0)+1,
-normalized so F(0) lies in [0,1).  All arithmetic is rational; equality of
-maps is equality of canonical breakpoint lists.
+Both kinds store one period of a lift: breakpoints on [0,1] with
+F(1) = F(0)+1.  A circle map is normalized so F(0) lies in [0,1); an interval
+map is the lift pinned at F(0) = 0.  One kernel serves both: composition is
+a single merge sweep over the two breakpoint lists, and inversion swaps the
+pairs and rotates the period back onto [0,1].  All arithmetic is rational;
+equality of maps is equality of canonical breakpoint lists.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .intervals import IntervalSet, circle_complement, unit_canon
 
@@ -22,6 +24,8 @@ class DomainMismatchError(ValueError):
 
 
 Points = tuple[tuple[Fraction, Fraction], ...]
+
+_IDENTITY: Points = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
 
 
 def _canonical(points: list[tuple[Fraction, Fraction]]) -> Points:
@@ -57,128 +61,78 @@ def _eval_pl(xs, ys, x: Fraction) -> Fraction:
     return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
 
-# Raw lift helpers: `pts` is one period of a lift over abscissae [0, 1] with
-# F(1) = F(0) + 1, not necessarily normalized.  Used where integer shifts of
-# the lift must be preserved (rotation number iteration).
-
-
-def _lift_eval(pts, x: Fraction) -> Fraction:
-    k = math.floor(x)
-    return _eval_pl([p[0] for p in pts], [p[1] for p in pts], x - k) + k
-
-
-def _lift_eval_inverse(pts, y: Fraction) -> Fraction:
-    k = math.floor(y - pts[0][1])
-    return _eval_pl([p[1] for p in pts], [p[0] for p in pts], y - k) + k
-
-
-def _lift_compose(fpts, gpts) -> list[tuple[Fraction, Fraction]]:
-    """Breakpoints of the lift x -> F(G(x)) on [0, 1], unnormalized."""
-    g0 = gpts[0][1]
-    cuts = {p[0] for p in gpts}
-    for bx, _ in fpts[:-1]:
-        k = math.ceil(g0 - bx)
-        while bx + k <= g0 + 1:
-            if bx + k >= g0:
-                cuts.add(_lift_eval_inverse(gpts, bx + k))
-            k += 1
-    xs = sorted(c for c in cuts if 0 <= c <= 1)
-    return [(x, _lift_eval(fpts, _lift_eval(gpts, x))) for x in xs]
-
-
-@dataclass(frozen=True)
-class PLMapInterval:
-    points: Points
-
-    @staticmethod
-    def from_points(points: Iterable) -> "PLMapInterval":
-        pts = [(Fraction(x), Fraction(y)) for x, y in points]
-        if len(pts) < 2 or pts[0] != (0, 0) or pts[-1] != (1, 1):
-            raise ValueError("interval map must run from (0,0) to (1,1)")
-        _check_strictly_increasing(pts)
-        return PLMapInterval(_canonical(pts))
-
-    @staticmethod
-    def identity() -> "PLMapInterval":
-        return PLMapInterval(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))))
-
-    @property
-    def xs(self):
-        return [p[0] for p in self.points]
-
-    @property
-    def ys(self):
-        return [p[1] for p in self.points]
-
-    def evaluate(self, x) -> Fraction:
-        return _eval_pl(self.xs, self.ys, Fraction(x))
-
-    def evaluate_inverse(self, y) -> Fraction:
-        return _eval_pl(self.ys, self.xs, Fraction(y))
-
-    def is_identity(self) -> bool:
-        return len(self.points) == 2
-
-    def fixed_set(self) -> IntervalSet:
-        """Exact solution set of f(x) = x: sub-intervals and isolated points."""
-        parts = []
-        pts = self.points
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            d0, d1 = y0 - x0, y1 - x1
-            if d0 == 0 and d1 == 0:
-                parts.append((x0, True, x1, True))
-            elif d0 == 0:
-                parts.append((x0, True, x0, True))
-            elif d1 == 0:
-                parts.append((x1, True, x1, True))
-            elif (d0 < 0) != (d1 < 0):
-                s = (y1 - y0) / (x1 - x0)
-                root = (y0 - s * x0) / (1 - s)
-                parts.append((root, True, root, True))
-        return IntervalSet.of(parts)
-
-    def support(self) -> IntervalSet:
-        return self.fixed_set().complement(0, 1)
-
-    def derivative_variation(self) -> Fraction:
-        """Total variation of the slope step function over interior breakpoints."""
-        slopes = _slopes(self.points)
-        return sum(
-            (abs(s1 - s0) for s0, s1 in zip(slopes, slopes[1:])), Fraction(0)
-        )
-
-
 def _slopes(points) -> list[Fraction]:
     return [
         (y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(points, points[1:])
     ]
 
 
+def _compose_lifts(fpts, gpts) -> list[tuple[Fraction, Fraction]]:
+    """Breakpoints of the lift x -> F(G(x)) over [0, 1].
+
+    Both arguments are one period of a lift over [0, 1]; neither needs to be
+    normalized, and the result keeps the integer shift of F(G(0)).  G carries
+    [0, 1] onto [g0, g0+1], which F's breakpoints shifted by floor(g0) and
+    floor(g0)+1 cover, so one pointer walks them alongside G's segments.
+    """
+    k = math.floor(gpts[0][1])
+    fb = [(x + k, y + k) for x, y in fpts[:-1]]
+    fb += [(x + k + 1, y + k + 1) for x, y in fpts]
+    out = []
+    j = 0  # fb[j] is F's last breakpoint at or below the current value of G
+    for (x0, y0), (x1, y1) in zip(gpts, gpts[1:]):
+        while fb[j + 1][0] <= y0:
+            j += 1
+        (u0, v0), (u1, v1) = fb[j], fb[j + 1]
+        out.append((x0, v0 if u0 == y0 else v0 + (v1 - v0) * (y0 - u0) / (u1 - u0)))
+        while fb[j + 1][0] < y1:
+            j += 1
+            u, v = fb[j]
+            out.append((x0 + (x1 - x0) * (u - y0) / (y1 - y0), v))
+    out.append((gpts[-1][0], out[0][1] + 1))
+    return out
+
+
+def _invert_lift(pts) -> list[tuple[Fraction, Fraction]]:
+    """One period over [0, 1] of the inverse of the lift with period `pts`.
+
+    `pts` is normalized, F(0) in [0, 1).  The swapped pairs are the inverse
+    lift over [F(0), F(0)+1]; the part past 1 moves down by one period,
+    joined at the seam value F^-1(1).
+    """
+    inv = [(y, x) for x, y in pts]
+    if inv[0][0] == 0:
+        return inv
+    i = next(i for i, (u, _) in enumerate(inv) if u >= 1)
+    (u0, v0), (u1, v1) = inv[i - 1], inv[i]
+    seam = v0 + (v1 - v0) * (1 - u0) / (u1 - u0)
+    return (
+        [(Fraction(0), seam - 1)]
+        + [(u - 1, v - 1) for u, v in inv[i:] if u > 1]
+        + inv[1:i]
+        + [(Fraction(1), seam)]
+    )
+
+
 @dataclass(frozen=True)
-class PLMapCircle:
-    points: Points  # one period of the lift, abscissae spanning [0, 1]
+class PLMap:
+    """One period of a lift over [0, 1] with F(1) = F(0) + 1.
 
-    @staticmethod
-    def from_points(points: Iterable) -> "PLMapCircle":
-        pts = [(Fraction(x), Fraction(y)) for x, y in points]
-        if len(pts) < 2 or pts[0][0] != 0 or pts[-1][0] != 1:
-            raise ValueError("circle lift must cover abscissae [0, 1]")
-        if pts[-1][1] != pts[0][1] + 1:
-            raise ValueError("circle lift must satisfy F(1) = F(0) + 1")
+    Subclasses fix the domain: `PLMapInterval` (F(0) = 0) and `PLMapCircle`
+    (F(0) in [0, 1)).
+    """
+
+    points: Points
+
+    @classmethod
+    def from_points(cls, points: Iterable):
+        pts = cls._normalize([(Fraction(x), Fraction(y)) for x, y in points])
         _check_strictly_increasing(pts)
-        shift = math.floor(pts[0][1])
-        if shift:
-            pts = [(x, y - shift) for x, y in pts]
-        return PLMapCircle(_canonical(pts))
+        return cls(_canonical(pts))
 
-    @staticmethod
-    def identity() -> "PLMapCircle":
-        return PLMapCircle(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))))
-
-    @staticmethod
-    def rotation(angle) -> "PLMapCircle":
-        a = Fraction(angle)
-        return PLMapCircle.from_points([(0, a), (1, a + 1)])
+    @classmethod
+    def identity(cls):
+        return cls(_IDENTITY)
 
     @property
     def xs(self):
@@ -198,15 +152,11 @@ class PLMapCircle:
         k = math.floor(y - self.points[0][1])
         return _eval_pl(self.ys, self.xs, y - k) + k
 
-    def evaluate_circle(self, x) -> Fraction:
-        v = self.evaluate_lift(Fraction(x))
-        return v - math.floor(v)
-
     def is_identity(self) -> bool:
-        return self.points == PLMapCircle.identity().points
+        return self.points == _IDENTITY
 
     def fixed_set(self) -> IntervalSet:
-        """Circle points with F(x) - x integral, in the fundamental domain."""
+        """Exact solutions in [0, 1] of F(x) = x + m over the integers m reached."""
         pts = self.points
         diffs = [y - x for x, y in pts]
         parts = []
@@ -223,66 +173,88 @@ class PLMapCircle:
                     s = (y1 - y0) / (x1 - x0)
                     root = (y0 - m - s * x0) / (1 - s)
                     parts.append((root, True, root, True))
-        return unit_canon(IntervalSet.of(parts))
+        return IntervalSet.of(parts)
+
+    def derivative_variation(self) -> Fraction:
+        """Total variation of the slope step function over interior breakpoints."""
+        slopes = _slopes(self.points)
+        return sum(
+            (abs(s1 - s0) for s0, s1 in zip(slopes, slopes[1:])), Fraction(0)
+        )
+
+
+class PLMapInterval(PLMap):
+    @staticmethod
+    def _normalize(pts):
+        if len(pts) < 2 or pts[0] != (0, 0) or pts[-1] != (1, 1):
+            raise ValueError("interval map must run from (0,0) to (1,1)")
+        return pts
+
+    def evaluate(self, x) -> Fraction:
+        return _eval_pl(self.xs, self.ys, Fraction(x))
+
+    def evaluate_inverse(self, y) -> Fraction:
+        return _eval_pl(self.ys, self.xs, Fraction(y))
+
+    def support(self) -> IntervalSet:
+        return self.fixed_set().complement(0, 1)
+
+
+class PLMapCircle(PLMap):
+    @staticmethod
+    def _normalize(pts):
+        if len(pts) < 2 or pts[0][0] != 0 or pts[-1][0] != 1:
+            raise ValueError("circle lift must cover abscissae [0, 1]")
+        if pts[-1][1] != pts[0][1] + 1:
+            raise ValueError("circle lift must satisfy F(1) = F(0) + 1")
+        shift = math.floor(pts[0][1])
+        return [(x, y - shift) for x, y in pts] if shift else pts
+
+    @staticmethod
+    def rotation(angle) -> "PLMapCircle":
+        a = Fraction(angle)
+        return PLMapCircle.from_points([(0, a), (1, a + 1)])
+
+    def evaluate_circle(self, x) -> Fraction:
+        v = self.evaluate_lift(Fraction(x))
+        return v - math.floor(v)
+
+    def fixed_set(self) -> IntervalSet:
+        """Circle points with F(x) - x integral, in the fundamental domain."""
+        return unit_canon(super().fixed_set())
 
     def support(self) -> IntervalSet:
         return circle_complement(self.fixed_set())
 
     def derivative_variation(self) -> Fraction:
         """Cyclic slope variation: interior jumps plus the seam jump."""
-        slopes = _slopes(self.points)
-        total = sum(
-            (abs(s1 - s0) for s0, s1 in zip(slopes, slopes[1:])), Fraction(0)
-        )
-        return total + abs(slopes[0] - slopes[-1])
+        seam = _slopes(self.points[:2])[0] - _slopes(self.points[-2:])[0]
+        return super().derivative_variation() + abs(seam)
 
 
-PLMap = Union[PLMapInterval, PLMapCircle]
-
-
-def _require_same_domain(f: PLMap, g: PLMap):
-    if type(f) is not type(g):
-        raise DomainMismatchError(
-            f"cannot mix {type(f).__name__} with {type(g).__name__}"
-        )
+def require_same_domain(*maps: PLMap):
+    first = type(maps[0])
+    for m in maps[1:]:
+        if type(m) is not first:
+            raise DomainMismatchError(
+                f"cannot mix {first.__name__} with {type(m).__name__}"
+            )
 
 
 def compose(f: PLMap, g: PLMap) -> PLMap:
-    """Exact composition f after g on merged, refined breakpoints."""
-    _require_same_domain(f, g)
-    if isinstance(f, PLMapInterval):
-        cuts = set(g.xs)
-        cuts.update(g.evaluate_inverse(bx) for bx in f.xs)
-        xs = sorted(cuts)
-        return PLMapInterval.from_points(
-            [(x, f.evaluate(g.evaluate(x))) for x in xs]
-        )
-    return PLMapCircle.from_points(_lift_compose(f.points, g.points))
+    """Exact composition f after g."""
+    require_same_domain(f, g)
+    return type(f).from_points(_compose_lifts(f.points, g.points))
 
 
 def invert(f: PLMap) -> PLMap:
-    if isinstance(f, PLMapInterval):
-        return PLMapInterval.from_points([(y, x) for x, y in f.points])
-    # swapped pairs define the inverse lift on [F(0), F(0)+1]; rewindow to [0,1]
-    cuts = {Fraction(0), Fraction(1)}
-    for _, y in f.points[:-1]:
-        k = math.floor(y)
-        for shift in (k, k + 1):
-            c = y - shift
-            if 0 <= c <= 1:
-                cuts.add(c)
-    xs = sorted(cuts)
-    return PLMapCircle.from_points([(x, f.evaluate_lift_inverse(x)) for x in xs])
-
-
-def identity_like(f: PLMap) -> PLMap:
-    return type(f).identity()
+    return type(f).from_points(_invert_lift(f.points))
 
 
 def power(f: PLMap, n: int) -> PLMap:
     if n < 0:
         return power(invert(f), -n)
-    out = identity_like(f)
+    out = f.identity()
     for _ in range(n):
         out = compose(out, f)
     return out
@@ -290,14 +262,12 @@ def power(f: PLMap, n: int) -> PLMap:
 
 def commutator(f: PLMap, g: PLMap) -> PLMap:
     """[f, g] = f g f^-1 g^-1."""
-    _require_same_domain(f, g)
+    require_same_domain(f, g)
     return compose(compose(f, g), compose(invert(f), invert(g)))
 
 
 def is_grounded(f: PLMap) -> bool:
-    """Whether f has a fixed point; trivially true on the interval."""
-    if isinstance(f, PLMapInterval):
-        return True
+    """Whether f has a fixed point; always true on the interval, where 0 is fixed."""
     return not f.fixed_set().is_empty()
 
 
@@ -325,7 +295,7 @@ def rotation_number(f: PLMapCircle, q_max: int = 64) -> RotationResult:
     pts = list(f.points)
     for q in range(1, q_max + 1):
         if q > 1:
-            pts = _lift_compose(f.points, pts)
+            pts = _compose_lifts(f.points, pts)
         diffs = [y - x for x, y in pts]
         lo, hi = min(diffs), max(diffs)
         hits = list(range(math.ceil(lo), math.floor(hi) + 1))

@@ -20,8 +20,15 @@ def frac_to_str(x) -> str:
     return str(Fraction(x))
 
 
+class PayloadError(ValueError):
+    """A JSON document does not have the shape its schema asks for."""
+
+
 def str_to_frac(s: str) -> Fraction:
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except (TypeError, ValueError, ZeroDivisionError) as e:
+        raise PayloadError(f"not a rational: {s!r}") from e
 
 
 def map_to_obj(m: PLMap) -> dict:
@@ -33,7 +40,12 @@ def map_to_obj(m: PLMap) -> dict:
 
 
 def obj_to_map(obj: dict) -> PLMap:
-    pts = [(str_to_frac(x), str_to_frac(y)) for x, y in obj["points"]]
+    pts = obj.get("points") if isinstance(obj, dict) else None
+    if not isinstance(pts, list) or not all(
+        isinstance(p, list) and len(p) == 2 for p in pts
+    ):
+        raise PayloadError("a map needs an object whose 'points' is a list of [x, y] pairs")
+    pts = [(str_to_frac(x), str_to_frac(y)) for x, y in pts]
     if obj["domain"] == "S1":
         return PLMapCircle.from_points(pts)
     if obj["domain"] == "I":

@@ -150,6 +150,27 @@ class TestRealizeAndVerify:
         assert rc == 1
 
 
+_GOOD_S1 = {"domain": "S1", "points": [["0", "1/3"], ["1", "4/3"]]}
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["rot"], {"domain": "S1", "points": 5}),
+        (["rot"], {"domain": "S1", "points": [["0", "1/0"], ["1", "1"]]}),
+        (["rot"], _GOOD_S1["points"]),
+        (["verify", "comm-supp"], {"maps": {"f": None, "g": _GOOD_S1}}),
+    ],
+    ids=["points-int", "zero-den", "top-list", "null-map"],
+)
+def test_malformed_payload_exits_2(tmp_path, capsys, argv, payload):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(payload))
+    rc, _ = run(tmp_path, *argv, "--input", str(p))
+    assert rc == 2
+    assert "type" in json.loads(capsys.readouterr().err)["error"]
+
+
 class TestRot:
     def test_exact_text(self, tmp_path):
         p = tmp_path / "rot.json"

@@ -2,7 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from raagdyn.intervals import IntervalSet
@@ -10,6 +10,7 @@ from raagdyn.plmaps import (
     DomainMismatchError,
     PLMapCircle,
     PLMapInterval,
+    _compose_lifts,
     commutator,
     compose,
     invert,
@@ -40,8 +41,38 @@ def interval_maps(draw):
 
 
 @st.composite
+def circle_maps(draw):
+    """Grounded lifts (F(0) = 0) and lifts with F(0) in (0, 1)."""
+    d = draw(st.sampled_from([8, 12, 16, 24]))
+    f0 = F(draw(st.integers(0, d - 1)), d)
+    count = draw(st.integers(0, 4))
+    xs = sorted(draw(st.lists(st.integers(1, d - 1), min_size=count, max_size=count, unique=True)))
+    ys = sorted(draw(st.lists(st.integers(1, 4 * d - 1), min_size=count, max_size=count, unique=True)))
+    pts = [(F(0), f0)]
+    pts += [(F(x, d), f0 + F(y, 4 * d)) for x, y in zip(xs, ys)]
+    pts.append((F(1), f0 + 1))
+    return PLMapCircle.from_points(pts)
+
+
+@st.composite
 def points01(draw):
     return F(draw(st.integers(0, 48)), 48)
+
+
+# interval maps are checked through `evaluate`, circle maps through their lifts
+DOMAINS = pytest.mark.parametrize(
+    "maps, ev",
+    [(interval_maps, "evaluate"), (circle_maps, "evaluate_lift")],
+    ids=["I", "S1"],
+)
+
+
+def _wide_map(rng, f0):
+    """A lift with 500 interior breakpoints and F(0) = f0."""
+    xs = sorted(rng.sample(range(1, 1000), 500))
+    ys = sorted(rng.sample(range(1, 4000), 500))
+    pts = [(F(0), f0)] + [(F(x, 1000), f0 + F(y, 4000)) for x, y in zip(xs, ys)]
+    return pts + [(F(1), f0 + 1)]
 
 
 class TestConstruction:
@@ -76,21 +107,87 @@ class TestConstruction:
 
 
 class TestGroupStructure:
+    @DOMAINS
     @settings(max_examples=120, deadline=None)
-    @given(interval_maps(), interval_maps(), points01())
-    def test_compose_evaluates_pointwise(self, f, g, x):
-        assert compose(f, g).evaluate(x) == f.evaluate(g.evaluate(x))
+    @given(data=st.data(), x=points01())
+    def test_compose_evaluates_pointwise(self, maps, ev, data, x):
+        # a normalized circle composite may drop F(G(0)) by an integer; pinned
+        # interval maps have every term at 0 equal to 0
+        f, g = data.draw(maps()), data.draw(maps())
+        h = compose(f, g)
 
+        def fg(x):
+            return getattr(f, ev)(getattr(g, ev)(x))
+
+        assert getattr(h, ev)(x) - getattr(h, ev)(0) == fg(x) - fg(0)
+
+    @DOMAINS
     @settings(max_examples=80, deadline=None)
-    @given(interval_maps())
-    def test_inverse_identities(self, f):
+    @given(data=st.data())
+    def test_inverse_identities(self, maps, ev, data):
+        f = data.draw(maps())
         assert compose(invert(f), f).is_identity()
         assert compose(f, invert(f)).is_identity()
 
+    @DOMAINS
     @settings(max_examples=50, deadline=None)
-    @given(interval_maps(), interval_maps(), interval_maps())
-    def test_associativity(self, f, g, h):
+    @given(data=st.data())
+    def test_associativity(self, maps, ev, data):
+        f, g, h = data.draw(maps()), data.draw(maps()), data.draw(maps())
         assert compose(compose(f, g), h) == compose(f, compose(g, h))
+
+    @pytest.mark.parametrize(
+        "pts, inv",
+        [
+            # F(1/2) = 1: the breakpoint lands exactly on the seam
+            ([(0, F(1, 4)), (F(1, 2), 1), (1, F(5, 4))],
+             [(0, F(1, 2)), (F(1, 4), 1), (1, F(3, 2))]),
+            # grounded: no rotation of the swapped pairs
+            ([(0, 0), (F(1, 4), F(1, 2)), (1, 1)],
+             [(0, 0), (F(1, 2), F(1, 4)), (1, 1)]),
+            # the inverse has its seam value strictly inside a segment
+            ([(0, F(1, 2)), (F(1, 2), F(3, 4)), (1, F(3, 2))],
+             [(0, F(2, 3)), (F(1, 2), 1), (F(3, 4), F(3, 2)), (1, F(5, 3))]),
+        ],
+        ids=["seam-breakpoint", "grounded", "seam-inside-segment"],
+    )
+    def test_circle_inverse_edge_cases(self, pts, inv):
+        f = PLMapCircle.from_points(pts)
+        assert invert(f) == PLMapCircle.from_points(inv)
+        assert compose(f, invert(f)).is_identity()
+        assert compose(invert(f), f).is_identity()
+
+    @settings(max_examples=60, deadline=None)
+    @given(circle_maps(), st.integers(2, 6), points01())
+    @example(
+        PLMapCircle.from_points([(0, F(7, 8)), (F(1, 2), F(3, 2)), (1, F(15, 8))]),
+        5,
+        F(1, 3),
+    )
+    def test_unnormalized_iterates_match_lift(self, f, q, x):
+        # rotation_number's F^q keeps its integer shift, so G(0) reaches 1 and beyond
+        pts = f.points
+        for _ in range(q - 1):
+            pts = _compose_lifts(f.points, pts)
+        want = x
+        for _ in range(q):
+            want = f.evaluate_lift(want)
+        assert PLMapCircle(tuple(pts)).evaluate_lift(x) == want
+
+    @pytest.mark.parametrize(
+        "kind, f0, g0", [(PLMapInterval, 0, 0), (PLMapCircle, F(1, 3), F(5, 7))], ids=["I", "S1"]
+    )
+    def test_wide_compose_matches_at_every_cut(self, kind, f0, g0):
+        rng = Random(500)
+        f = kind.from_points(_wide_map(rng, f0))
+        g = kind.from_points(_wide_map(rng, g0))
+        h = compose(f, g)
+        cuts = _compose_lifts(f.points, g.points)
+        assert len(cuts) > len(g.points) > 400
+        shift = h.evaluate_lift(0) - cuts[0][1]
+        for x, y in cuts:
+            assert y == f.evaluate_lift(g.evaluate_lift(x))
+            assert h.evaluate_lift(x) == y + shift
 
     @settings(max_examples=50, deadline=None)
     @given(interval_maps())
