@@ -11,18 +11,24 @@ G_{i-1} to x_i in |r_i| steps, so the whole word marches x0 rightward to
 G_l.  Supports of a and b stay disjoint by construction, which also makes
 them commute.
 
-All block corners live on an integer grid; plans keep that integer data so
-large enumerations can be checked with pure integer arithmetic, while
-`build_separating_action` materializes exact PL maps from the same plan.
+Block corners are integers over the plan's scale.  A chain bump is kept in
+closed form: between its inner corners start and end - d it translates by
+d = (end - start) / steps, so its graph is the corners (lo, lo),
+(start, start + d), (end - d, end), (hi, hi), with x and y swapped for a
+backward bump, as integers over scale * steps.  Plans keep that integer
+data so large enumerations can be checked with pure integer arithmetic,
+each translation piece crossed in one jump, while `build_separating_action`
+materializes exact PL maps from the same plan.  One walker, `_act`, applies
+a word to integer points, to rational points and to maps.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .plmaps import PLMapInterval, commutator, compose, power
 from .words import (
@@ -36,20 +42,18 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class Bump:
-    """One PL bump: graph points (xs, ys) on [lo, hi], identity outside."""
+class Bump(NamedTuple):
+    """Bump with graph corners (xs[i] / den, ys[i] / den), identity off [xs[0], xs[-1]]."""
 
-    lo: int
-    hi: int
+    den: int
     xs: tuple[int, ...]
     ys: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class ActionPlan:
-    scale: int  # every Bump coordinate is k / scale
-    a_bumps: tuple[Bump, ...]
+    scale: int  # block corners are k / scale; a bump of s steps has den scale * s
+    a_bumps: tuple[Bump, ...]  # each family listed left to right
     b_bumps: tuple[Bump, ...]
     t_bumps: tuple[Bump, ...]
     base_num: int
@@ -61,17 +65,15 @@ class ActionPlan:
         return Fraction(self.base_num, self.base_den)
 
 
-@lru_cache(maxsize=4096)
-def _chain_bump(lo: int, hi: int, start: int, end: int, steps: int, forward: bool) -> Bump:
-    """Bump on [lo, hi] whose `steps`-th power (or inverse power) sends start to end."""
-    assert lo < start < end < hi and (end - start) % steps == 0
-    gap = end - start
-    ws = [start + gap * k // steps for k in range(steps + 1)]
-    if forward:
-        xs, ys = [lo] + ws[:-1] + [hi], [lo] + ws[1:] + [hi]
+def _chain_bump(scale: int, lo: int, hi: int, start: int, end: int, steps: int, forward: bool) -> Bump:
+    """Bump on [lo, hi] / scale whose `steps`-th power (or inverse power) sends start to end."""
+    assert lo < start < end < hi
+    k, gap = steps, end - start
+    if k == 1:  # the two inner corners coincide
+        xs, ys = (lo, start, hi), (lo, end, hi)
     else:
-        xs, ys = [lo] + ws[1:] + [hi], [lo] + ws[:-1] + [hi]
-    return Bump(lo, hi, tuple(xs), tuple(ys))
+        xs, ys = (lo * k, start * k, end * k - gap, hi * k), (lo * k, start * k + gap, end * k, hi * k)
+    return Bump(scale * k, xs, ys) if forward else Bump(scale * k, ys, xs)
 
 
 def plan_separating_action(word: Union[FreeProductWord, str]) -> ActionPlan:
@@ -82,138 +84,116 @@ def plan_separating_action(word: Union[FreeProductWord, str]) -> ActionPlan:
     if word.is_identity():
         raise TrivialWordError("word reduces to the identity")
     std, conj = cyclic_normalize(word)
-
-    # refine the grid so every chain subdivision lands on integers
-    u = 1
-    for s in std.syllables:
-        for e in s[1:]:
-            if e:
-                u = u * abs(e) // gcd(u, abs(e))
-
+    syl = std.syllables
     a_bumps: list[Bump] = []
     b_bumps: list[Bump] = []
     t_bumps: list[Bump] = []
 
-    if len(std) == 1 and std.syllables[0][0] == T:
-        r = std.syllables[0][1]
-        scale = 12 * u
-        t_bumps.append(_chain_bump(2 * u, 10 * u, 4 * u, 8 * u, abs(r), r > 0))
-        base = 4 * u
-    elif len(std) == 1:
-        _, m, n = std.syllables[0]
-        scale = 28 * u
-        s = (2 if m != 0 else 14) * u
-        e = m if m != 0 else n
-        bump = _chain_bump(s, s + 12 * u, s + 2 * u, s + 8 * u, abs(e), e > 0)
-        (a_bumps if m != 0 else b_bumps).append(bump)
-        base = s + 2 * u
+    if len(syl) == 1 and syl[0][0] == T:
+        r = syl[0][1]
+        scale, base = 12, 4
+        t_bumps.append(_chain_bump(scale, 2, 10, 4, 8, abs(r), r > 0))
+    elif len(syl) == 1:
+        _, m, n = syl[0]
+        scale, s, e = 28, (2 if m else 14), m or n
+        (a_bumps if m else b_bumps).append(_chain_bump(scale, s, s + 12, s + 2, s + 8, abs(e), e > 0))
+        base = s + 2
     else:
-        syl = std.syllables
         assert len(syl) % 2 == 0 and syl[0][0] == AB and syl[-1][0] == T
-        pairs = [(syl[k], syl[k + 1]) for k in range(0, len(syl), 2)]
-        pairs.reverse()  # pairs[i] = (g_{i+1}, t^{r_{i+1}}); index 0 acts first
-        scale = (28 * len(pairs) + 4) * u
-        prev = 4 * u  # point carried forward: x0, then each G_i
-        prev_s = 0
-        for i, ((_, m, n), (_, r)) in enumerate(pairs):
-            p = (6 + 28 * i) * u
-            s = p if m != 0 else p + 12 * u
-            e = m if m != 0 else n
-            x_i, d_i, g_i = s + 2 * u, s + 4 * u, s + 8 * u
-            c_i = 2 * u if i == 0 else prev_s + 6 * u
-            bump = _chain_bump(s, s + 12 * u, x_i, g_i, abs(e), e > 0)
-            (a_bumps if m != 0 else b_bumps).append(bump)
-            t_bumps.append(_chain_bump(c_i, d_i, prev, x_i, abs(r), r > 0))
-            prev = g_i
-            prev_s = s
-        base = 4 * u
+        scale, base = 14 * len(syl) + 4, 4
+        prev, c = 4, 2  # point carried forward (x0, then each G_i); next t bump's lo
+        for i, k in enumerate(range(len(syl) - 2, -1, -2)):  # pair i acts i-th
+            (_, m, n), (_, r) = syl[k], syl[k + 1]
+            s, e = 6 + 28 * i + (0 if m else 12), m or n
+            (a_bumps if m else b_bumps).append(_chain_bump(scale, s, s + 12, s + 2, s + 8, abs(e), e > 0))
+            t_bumps.append(_chain_bump(scale, c, s + 4, prev, s + 2, abs(r), r > 0))
+            prev, c = s + 8, s + 6
 
-    plan = ActionPlan(
-        scale=scale,
-        a_bumps=tuple(a_bumps),
-        b_bumps=tuple(b_bumps),
-        t_bumps=tuple(t_bumps),
-        base_num=base,
-        base_den=scale,
-        standard=std,
-        conjugator=conj,
-    )
+    plan = ActionPlan(scale, tuple(a_bumps), tuple(b_bumps), tuple(t_bumps), base, scale, std, conj)
     if not conj.is_identity():
-        num, den = plan_apply_word(plan, conj, plan.base_num, plan.base_den)
-        plan = ActionPlan(
-            plan.scale, plan.a_bumps, plan.b_bumps, plan.t_bumps,
-            num, den, std, conj,
-        )
+        num, den = plan_apply_word(plan, conj, base, scale)
+        plan = ActionPlan(scale, plan.a_bumps, plan.b_bumps, plan.t_bumps, num, den, std, conj)
     return plan
 
 
-def _bumps_apply(bumps, scale: int, num: int, den: int, inverse: bool) -> tuple[int, int]:
-    """Apply the bump family (or its inverse) to num/den; identity off-bump."""
-    nsc = num * scale
-    for bp in bumps:
-        if nsc <= bp.lo * den:
-            return num, den
-        if nsc >= bp.hi * den:
+def _act(word: FreeProductWord, x, power):
+    """Apply the word to x: rightmost syllable first, b before a.
+
+    `power(gen, e, x)` applies gen^e to x, whatever x is: an integer pair
+    num/den, a point or a map.
+    """
+    for s in reversed(word.syllables):
+        if s[0] == T:
+            if s[1]:
+                x = power("t", s[1], x)
+        else:
+            if s[2]:
+                x = power("b", s[2], x)
+            if s[1]:
+                x = power("a", s[1], x)
+    return x
+
+
+def _bumps_power(bumps, e: int, x: tuple[int, int]) -> tuple[int, int]:
+    """x = (num, den) under the e-th power of a left-to-right bump family."""
+    num, den = x
+    for d, xs, ys in bumps:
+        nd = num * d
+        if nd <= xs[0] * den:
+            break
+        if nd >= xs[-1] * den:
             continue
-        xs, ys = (bp.ys, bp.xs) if inverse else (bp.xs, bp.ys)
-        i = 0
-        while nsc > xs[i + 1] * den:
-            i += 1
-        if nsc == xs[i + 1] * den:
-            return ys[i + 1], scale
-        dx = xs[i + 1] - xs[i]
-        n2 = ys[i] * dx * den + (ys[i + 1] - ys[i]) * (nsc - xs[i] * den)
-        d2 = scale * dx * den
-        g = gcd(n2, d2)
-        return n2 // g, d2 // g
-    return num, den
-
-
-def _plan_apply_power(bumps, scale, e: int, num: int, den: int) -> tuple[int, int]:
-    for _ in range(abs(e)):
-        num, den = _bumps_apply(bumps, scale, num, den, inverse=e < 0)
-    return num, den
+        if e < 0:
+            xs, ys, e = ys, xs, -e
+        while e:
+            i = 1
+            while nd > xs[i] * den:
+                i += 1
+            if nd == xs[i] * den:  # on a corner
+                num, den = ys[i], d
+                e -= 1
+            else:
+                x0, y0, x1, y1 = xs[i - 1], ys[i - 1], xs[i], ys[i]
+                c = y0 - x0
+                if c == y1 - x1:  # translation by c / d: jump over every step it stays on
+                    j = min(e, (x1 * den - nd if c > 0 else nd - x0 * den) // (abs(c) * den) + 1)
+                    num, den = nd + j * c * den, d * den
+                    e -= j
+                else:
+                    dx = x1 - x0
+                    num, den = y0 * dx * den + (y1 - y0) * (nd - x0 * den), d * dx * den
+                    e -= 1
+                g = gcd(num, den)
+                num, den = num // g, den // g
+            nd = num * d
+        return num, den
+    return x
 
 
 def plan_apply_word(plan: ActionPlan, word: FreeProductWord, num: int, den: int) -> tuple[int, int]:
     """Evaluate the word at num/den through the plan, rightmost syllable first."""
-    for s in reversed(word.syllables):
-        if s[0] == T:
-            num, den = _plan_apply_power(plan.t_bumps, plan.scale, s[1], num, den)
-        else:
-            num, den = _plan_apply_power(plan.b_bumps, plan.scale, s[2], num, den)
-            num, den = _plan_apply_power(plan.a_bumps, plan.scale, s[1], num, den)
-    return num, den
+    fams = {"a": plan.a_bumps, "b": plan.b_bumps, "t": plan.t_bumps}
+    return _act(word, (num, den), lambda g, e, x: _bumps_power(fams[g], e, x))
 
 
 def plan_supports_disjoint(plan: ActionPlan) -> bool:
     spans = sorted(
-        [(bp.lo, bp.hi, "a") for bp in plan.a_bumps]
-        + [(bp.lo, bp.hi, "b") for bp in plan.b_bumps]
+        (Fraction(bp.xs[0], bp.den), Fraction(bp.xs[-1], bp.den), g)
+        for g, bumps in (("a", plan.a_bumps), ("b", plan.b_bumps))
+        for bp in bumps
     )
-    for (lo1, hi1, g1), (lo2, hi2, g2) in zip(spans, spans[1:]):
-        if g1 != g2 and lo2 < hi1:
-            return False
-    return True
+    return all(
+        g1 == g2 or hi1 <= lo2 for (_, hi1, g1), (lo2, _, g2) in zip(spans, spans[1:])
+    )
 
 
-def _glue(points: Iterable[tuple[Fraction, Fraction]]) -> PLMapInterval:
-    """Interval map through `points`, laid left to right, from (0,0) to (1,1)."""
-    pts: list[tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(0))]
-    for pt in points:
-        if pt != pts[-1]:
-            pts.append(pt)
-    if pts[-1] != (1, 1):
-        pts.append((Fraction(1), Fraction(1)))
+def _materialize(bumps: Iterable[Bump]) -> PLMapInterval:
+    """Interval map of bumps laid left to right, identity between them."""
+    pts = [(0, 0)]
+    for d, xs, ys in bumps:
+        pts += [(Fraction(x, d), Fraction(y, d)) for x, y in zip(xs, ys)]
+    pts.append((1, 1))
     return PLMapInterval.from_points(pts)
-
-
-def _materialize(bumps: Iterable[Bump], scale: int) -> PLMapInterval:
-    return _glue(
-        (Fraction(x, scale), Fraction(y, scale))
-        for bp in sorted(bumps, key=lambda b: b.lo)
-        for x, y in zip(bp.xs, bp.ys)
-    )
 
 
 @dataclass(frozen=True)
@@ -228,9 +208,6 @@ class ActionAssignment:
     t: PLMapInterval
     basepoint: Fraction
 
-    def map_for(self, gen: str) -> PLMapInterval:
-        return {"a": self.a, "b": self.b, "t": self.t}[gen]
-
     def validate(self) -> None:
         if not commutator(self.a, self.b).is_identity():
             raise ValueError("generators a and b do not commute")
@@ -240,9 +217,9 @@ class ActionAssignment:
 
 def materialize_plan(plan: ActionPlan) -> ActionAssignment:
     return ActionAssignment(
-        a=_materialize(plan.a_bumps, plan.scale),
-        b=_materialize(plan.b_bumps, plan.scale),
-        t=_materialize(plan.t_bumps, plan.scale),
+        a=_materialize(plan.a_bumps),
+        b=_materialize(plan.b_bumps),
+        t=_materialize(plan.t_bumps),
         basepoint=plan.basepoint(),
     )
 
@@ -252,35 +229,38 @@ def build_separating_action(word: Union[FreeProductWord, str]) -> ActionAssignme
     return materialize_plan(plan_separating_action(word))
 
 
-def _syllable_map(asg: ActionAssignment, s) -> PLMapInterval:
-    if s[0] == T:
-        return power(asg.t, s[1])
-    return compose(power(asg.a, s[1]), power(asg.b, s[2]))
-
-
 def evaluate_word(asg: ActionAssignment, word: FreeProductWord) -> PLMapInterval:
     """Map of the word under the assignment; leftmost syllable acts last."""
-    out = PLMapInterval.identity()
-    for s in word.syllables:
-        out = compose(out, _syllable_map(asg, s))
-    return out
+    return _act(word, PLMapInterval.identity(), lambda g, e, m: compose(power(getattr(asg, g), e), m))
 
 
-def _apply_power(m: PLMapInterval, e: int, x: Fraction) -> Fraction:
-    for _ in range(abs(e)):
-        x = m.evaluate(x) if e > 0 else m.evaluate_inverse(x)
+def _map_power(m: PLMapInterval, e: int, x: Fraction) -> Fraction:
+    """x under m^e: one affine step at a time, one jump across a slope-1 piece."""
+    xs, ys = (m.xs, m.ys) if e > 0 else (m.ys, m.xs)
+    if not xs[0] <= x <= xs[-1]:
+        raise ValueError(f"point {x} outside [{xs[0]}, {xs[-1]}]")
+    e, last = abs(e), len(xs) - 2
+    while e:
+        i = min(bisect_right(xs, x) - 1, last)
+        x0, y0, x1, y1 = xs[i], ys[i], xs[i + 1], ys[i + 1]
+        c = y0 - x0
+        if c == y1 - x1:
+            if not c:
+                return x
+            j = min(e, (x1 - x if c > 0 else x - x0) // abs(c) + 1)
+            x += j * c
+            e -= j
+        else:
+            y = y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+            if y == x:
+                return x
+            x = y
+            e -= 1
     return x
 
 
 def evaluate_word_at(asg: ActionAssignment, word: FreeProductWord, x) -> Fraction:
-    x = Fraction(x)
-    for s in reversed(word.syllables):
-        if s[0] == T:
-            x = _apply_power(asg.t, s[1], x)
-        else:
-            x = _apply_power(asg.b, s[2], x)
-            x = _apply_power(asg.a, s[1], x)
-    return x
+    return _act(word, Fraction(x), lambda g, e, y: _map_power(getattr(asg, g), e, y))
 
 
 @dataclass(frozen=True)
@@ -293,25 +273,22 @@ class FaithfulAction:
 def build_faithful_on(words: Iterable[Union[FreeProductWord, str]]) -> FaithfulAction:
     """One action on [0,1] moving a point for every word in the list.
 
-    Each word's separating action is rescaled into its own block
+    Each word's separating plan is placed into its own block
     [k/(N+1), (k+1)/(N+1)]; disjoint blocks keep the a/b invariants.
     """
     parsed = [parse_word(w) if isinstance(w, str) else FreeProductWord.of(w.syllables) for w in words]
     if not parsed:
         raise ValueError("empty word list")
-    for w in parsed:
-        if w.is_identity():
-            raise TrivialWordError("word reduces to the identity")
-    blocks = [build_separating_action(w) for w in parsed]
-    den = len(blocks) + 1
+    plans = [plan_separating_action(w) for w in parsed]
+    n = len(plans) + 1
     maps = {
-        gen: _glue(
-            ((k + x) / den, (k + y) / den)
-            for k, asg in enumerate(blocks)
-            for x, y in asg.map_for(gen).points
+        gen: _materialize(
+            Bump(d * n, tuple(k * d + x for x in xs), tuple(k * d + y for y in ys))
+            for k, plan in enumerate(plans)
+            for d, xs, ys in getattr(plan, gen + "_bumps")
         )
-        for gen in ("a", "b", "t")
+        for gen in "abt"
     }
-    witnesses = tuple((k + asg.basepoint) / den for k, asg in enumerate(blocks))
+    witnesses = tuple((k + plan.basepoint()) / n for k, plan in enumerate(plans))
     assignment = ActionAssignment(**maps, basepoint=witnesses[0])
     return FaithfulAction(assignment, tuple(parsed), witnesses)

@@ -151,8 +151,7 @@ def cmd_realize(args) -> int:
 def _verify_sampled(args, payload, keys, draw, check):
     """Run `check` on the payload maps named by `keys`, else on seeded draws."""
     if payload is not None:
-        maps = payload["maps"]
-        ok = check(*(serialize.obj_to_map(maps[k]) for k in keys))
+        ok = check(*serialize.payload_maps(payload, keys))
         return ok, {"samples": 1, "failures": 0 if ok else 1}
     rng = Random(args.seed)
     failures = 0
@@ -174,8 +173,7 @@ def _verify_phi_supp(args, payload):
 def _verify_c1(args, payload):
     if payload is None:
         raise InputError("c1 check needs --input with maps b, c, d")
-    maps = payload["maps"]
-    b, c, d = (serialize.obj_to_map(maps[k]) for k in ("b", "c", "d"))
+    b, c, d = serialize.payload_maps(payload, "bcd")
     report = check_c1_containment(b, c, d)
     detail = {
         "holds": report.holds,
@@ -188,10 +186,11 @@ def _verify_c1(args, payload):
 def _verify_two_jumps(args, payload):
     if payload is None:
         raise InputError("two-jumps check needs --input with maps f, g and triples")
-    maps = payload["maps"]
-    f = serialize.obj_to_map(maps["f"])
-    g = serialize.obj_to_map(maps["g"])
-    triples = [tuple(map(serialize.str_to_frac, t)) for t in payload.get("triples", [])]
+    f, g = serialize.payload_maps(payload, "fg")
+    triples = serialize.payload_list(
+        payload, "triples", lambda t: isinstance(t, list) and len(t) == 3, "[s, t, y] lists"
+    )
+    triples = [tuple(map(serialize.str_to_frac, t)) for t in triples]
     report = check_two_jumps_prefix(TwoJumpsData.of(f, g, triples))
     detail = {
         "valid": report.valid,
@@ -204,9 +203,7 @@ def _verify_two_jumps(args, payload):
 def _verify_lamplighter(args, payload):
     if payload is None:
         raise InputError("lamplighter check needs --input with maps g, u")
-    maps = payload["maps"]
-    g = serialize.obj_to_map(maps["g"])
-    u = serialize.obj_to_map(maps["u"])
+    g, u = serialize.payload_maps(payload, "gu")
     cert = lamplighter_certificate(g, u)
     if cert is None:
         return False, {"certified": False}
@@ -223,8 +220,8 @@ def _verify_action(args, payload):
         raise InputError("action check needs --input with an action bundle")
     asg = serialize.obj_to_assignment(payload)
     asg.validate()
-    words = [parse_word(s) for s in payload.get("words", [])]
-    witnesses = [serialize.str_to_frac(s) for s in payload.get("witnesses", [])]
+    words = [parse_word(s) for s in serialize.payload_list(payload, "words")]
+    witnesses = [serialize.str_to_frac(s) for s in serialize.payload_list(payload, "witnesses")]
     if not witnesses:
         witnesses = [asg.basepoint] * len(words)
     moved, stuck = [], []
@@ -268,8 +265,7 @@ def cmd_verify(args) -> int:
 def cmd_rot(args) -> int:
     _require_input(args)
     payload = _load_json(args.input)
-    obj = payload["maps"]["f"] if "maps" in payload else payload
-    m = serialize.obj_to_map(obj)
+    m = serialize.payload_maps(payload, "f")[0] if "maps" in payload else serialize.obj_to_map(payload)
     if not isinstance(m, PLMapCircle):
         raise InputError("rotation numbers need a circle map (domain S1)")
     res = rotation_number(m, q_max=args.qmax)

@@ -53,6 +53,22 @@ def obj_to_map(obj: dict) -> PLMap:
     raise ValueError(f"unknown domain {obj['domain']!r}")
 
 
+def payload_maps(payload: dict, keys) -> list[PLMap]:
+    """The maps named by `keys` in the payload's `maps` object."""
+    maps = payload.get("maps")
+    if not isinstance(maps, dict) or not all(k in maps for k in keys):
+        raise PayloadError(f"'maps' must be an object holding maps {', '.join(keys)}")
+    return [obj_to_map(maps[k]) for k in keys]
+
+
+def payload_list(payload: dict, key: str, item_ok=lambda s: isinstance(s, str), what="strings") -> list:
+    """The payload's optional list `key`, every item passing `item_ok`."""
+    items = payload.get(key, [])
+    if not isinstance(items, list) or not all(map(item_ok, items)):
+        raise PayloadError(f"'{key}' must be a list of {what}")
+    return items
+
+
 def support_to_obj(s: IntervalSet, domain: str = "I") -> list:
     if domain == "S1":
         return [[frac_to_str(a), frac_to_str(b)] for a, b, _, _ in wrapped_components(s)]
@@ -80,13 +96,8 @@ def assignment_to_obj(asg: ActionAssignment) -> dict:
 
 
 def obj_to_assignment(obj: dict) -> ActionAssignment:
-    maps = obj["maps"]
-    return ActionAssignment(
-        a=obj_to_map(maps["a"]),
-        b=obj_to_map(maps["b"]),
-        t=obj_to_map(maps["t"]),
-        basepoint=str_to_frac(obj["x0"]),
-    )
+    a, b, t = payload_maps(obj, "abt")
+    return ActionAssignment(a=a, b=b, t=t, basepoint=str_to_frac(obj["x0"]))
 
 
 def faithful_to_obj(fa: FaithfulAction) -> dict:

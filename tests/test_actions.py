@@ -3,8 +3,11 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raagdyn.actions import (
+    ActionAssignment,
     build_faithful_on,
     build_separating_action,
     evaluate_word,
@@ -14,7 +17,7 @@ from raagdyn.actions import (
     plan_separating_action,
     plan_supports_disjoint,
 )
-from raagdyn.plmaps import compose
+from raagdyn.plmaps import PLMapInterval, compose
 from raagdyn.words import AB, T, FreeProductWord, TrivialWordError, parse_word
 
 F = Fraction
@@ -36,6 +39,50 @@ def random_word(rng: Random, max_len=6, emax=2) -> FreeProductWord:
             syls.append((T, r))
             kind = AB
     return FreeProductWord(tuple(syls))
+
+
+def zone_points(rng: Random, plan):
+    """A random rational inside each piece of every bump: expanding, translation, contracting."""
+    for bp in plan.a_bumps + plan.b_bumps + plan.t_bumps:
+        for x0, x1 in zip(bp.xs, bp.xs[1:]):
+            yield F(x0, bp.den) + F(x1 - x0, bp.den) * F(rng.randint(1, 63), 64)
+
+
+def _apply_power(m: PLMapInterval, e: int, x: Fraction) -> Fraction:
+    for _ in range(abs(e)):
+        x = m.evaluate(x) if e > 0 else m.evaluate_inverse(x)
+    return x
+
+
+def stepwise_word_at(asg: ActionAssignment, word: FreeProductWord, x) -> Fraction:
+    """Reference evaluator: one map step per unit of exponent."""
+    x = Fraction(x)
+    for s in reversed(word.syllables):
+        if s[0] == T:
+            x = _apply_power(asg.t, s[1], x)
+        else:
+            x = _apply_power(asg.b, s[2], x)
+            x = _apply_power(asg.a, s[1], x)
+    return x
+
+
+@st.composite
+def maps_with_slope_one_pieces(draw):
+    """Interval maps on a grid of 1/d with both slope-1 pieces and other pieces."""
+    d = draw(st.sampled_from([8, 12, 16]))
+    cuts = sorted(draw(st.lists(st.integers(1, d - 1), min_size=1, max_size=5, unique=True)))
+    xs = [0] + cuts + [d]
+    widths = [x1 - x0 for x0, x1 in zip(xs, xs[1:])]
+    n = len(widths)
+    unit = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(lambda u: any(u) and not all(u)))
+    rest = sum(w for w, u in zip(widths, unit) if not u)  # height left to the other pieces
+    weights = [draw(st.integers(1, 6)) for _ in widths]
+    total = sum(wt for wt, u in zip(weights, unit) if not u)
+    heights = [F(w) if u else F(rest * wt, total) for w, wt, u in zip(widths, weights, unit)]
+    ys = [F(0)]
+    for h in heights:
+        ys.append(ys[-1] + h)
+    return PLMapInterval.from_points([(F(x, d), y / d) for x, y in zip(xs, ys)])
 
 
 class TestSeparatingAction:
@@ -72,17 +119,46 @@ class TestSeparatingAction:
 
     def test_plan_matches_materialized_maps(self):
         rng = Random(7)
-        for _ in range(40):
-            w = random_word(rng)
+        conjugated = [parse_word(s) for s in ("a^5 t a^5 t a^-5", "t^3 b^-7 a^2 t^-3", "b^40 t^-1 a^-40")]
+        words = [random_word(rng) for _ in range(40)] + [random_word(rng, 6, 40) for _ in range(25)]
+        words += conjugated + [random_word(rng, 3, 40).conjugate_by(random_word(rng, 2, 9)) for _ in range(10)]
+        for w in words:
+            if w.is_identity():
+                continue
             plan = plan_separating_action(w)
             asg = materialize_plan(plan)
             assert plan_supports_disjoint(plan)
             # the integer fast path and the PL map path agree pointwise
             num, den = plan_apply_word(plan, w, plan.base_num, plan.base_den)
             assert F(num, den) == evaluate_word_at(asg, w, plan.basepoint())
-            x = F(rng.randint(0, 16), 16)
-            num, den = plan_apply_word(plan, w, x.numerator, x.denominator)
-            assert F(num, den) == evaluate_word_at(asg, w, x)
+            xs = [F(rng.randint(0, 16), 16)] + list(zone_points(rng, plan))
+            for x in xs:
+                num, den = plan_apply_word(plan, w, x.numerator, x.denominator)
+                assert F(num, den) == evaluate_word_at(asg, w, x)
+
+    def test_bump_size_does_not_grow_with_steps(self):
+        plan = plan_separating_action("a^1000000 t^-999999 b^3 t")
+        for bp in plan.a_bumps + plan.b_bumps + plan.t_bumps:
+            assert len(bp.xs) == len(bp.ys) <= 4
+
+    def test_million_step_plan_matches_map_path(self):
+        w = parse_word("a^1000000 t^-1000000")
+        plan = plan_separating_action(w)
+        num, den = plan_apply_word(plan, w, plan.base_num, plan.base_den)
+        y = evaluate_word_at(materialize_plan(plan), w, plan.basepoint())
+        assert F(num, den) == y != plan.basepoint()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        maps=st.tuples(*[maps_with_slope_one_pieces()] * 3),
+        exps=st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)), min_size=1, max_size=4),
+        x=st.integers(0, 48),
+    )
+    def test_word_at_matches_stepwise_iteration(self, maps, exps, x):
+        asg = ActionAssignment(*maps, basepoint=F(0))
+        syls = [(T, m) if k % 2 else (AB, m, n) for k, (m, n) in enumerate(exps)]
+        w = FreeProductWord(tuple(syls))
+        assert evaluate_word_at(asg, w, F(x, 48)) == stepwise_word_at(asg, w, F(x, 48))
 
 
 class TestEvaluateWord:
@@ -143,6 +219,11 @@ class TestFaithfulOn:
                     words.append(FreeProductWord(combo))
         fa = build_faithful_on(words)
         fa.assignment.validate()
+        for w, x in zip(fa.words, fa.witnesses):
+            assert evaluate_word_at(fa.assignment, w, x) != x
+
+    def test_million_step_words_move_their_witnesses(self):
+        fa = build_faithful_on(["a^1000000 t", "b^-1000000 t^-1"])
         for w, x in zip(fa.words, fa.witnesses):
             assert evaluate_word_at(fa.assignment, w, x) != x
 

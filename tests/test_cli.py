@@ -151,6 +151,8 @@ class TestRealizeAndVerify:
 
 
 _GOOD_S1 = {"domain": "S1", "points": [["0", "1/3"], ["1", "4/3"]]}
+_ID_I = {"domain": "I", "points": [["0", "0"], ["1", "1"]]}
+_ACTION = {"maps": {"a": _ID_I, "b": _ID_I, "t": _ID_I}, "x0": "1/2"}
 
 
 @pytest.mark.parametrize(
@@ -160,8 +162,17 @@ _GOOD_S1 = {"domain": "S1", "points": [["0", "1/3"], ["1", "4/3"]]}
         (["rot"], {"domain": "S1", "points": [["0", "1/0"], ["1", "1"]]}),
         (["rot"], _GOOD_S1["points"]),
         (["verify", "comm-supp"], {"maps": {"f": None, "g": _GOOD_S1}}),
+        (["rot"], {"maps": [1, 2]}),
+        (["verify", "action"], {"maps": [1, 2]}),
+        (["verify", "two-jumps"], {"maps": {"f": _ID_I, "g": _ID_I}, "triples": [5]}),
+        (["verify", "action"], {**_ACTION, "words": [5]}),
+        (["verify", "action"], {**_ACTION, "words": ["t"], "witnesses": [5]}),
+        (["verify", "action"], {**_ACTION, "words": ["t"], "witnesses": ["2"]}),
     ],
-    ids=["points-int", "zero-den", "top-list", "null-map"],
+    ids=[
+        "points-int", "zero-den", "top-list", "null-map", "maps-list-rot",
+        "maps-list-action", "triple-int", "word-int", "witness-int", "witness-outside",
+    ],
 )
 def test_malformed_payload_exits_2(tmp_path, capsys, argv, payload):
     p = tmp_path / "bad.json"
