@@ -2,25 +2,23 @@
 
 The hierarchy classes are built from a single vertex by alternately closing
 under finite joins (odd levels) and finite disjoint unions (even levels).
-Recognition uses the classical recursion: a graph with at least two vertices
-is a cograph iff it or its complement is disconnected, with the split parts
+Recognition uses the classical split: a graph with at least two vertices is
+a cograph iff it or its complement is disconnected, with the split parts
 again cographs; a connected, co-connected graph contains an induced P4.
+
+The split runs on an explicit stack over vertex bitmasks (bit i is the i-th
+vertex), so neither recognition nor any other cotree walk here is limited
+by the interpreter's recursion depth.  Each part is grown by OR-ing the
+adjacency rows (or their complements) of a whole BFS frontier at once.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .graphs import (
-    SimplicialGraph,
-    disjoint_union,
-    find_full_p3_union_pt,
-    find_full_p4,
-    full_subgraph,
-    join,
-    single_vertex,
-)
+from .graphs import SimplicialGraph, _least_p4, bit_indices, find_full_p3_union_pt
 
 
 class EmptyGraphError(ValueError):
@@ -65,23 +63,43 @@ class Cotree:
             raise ValueError(f"unknown node kind {self.kind!r}")
 
     def leaves(self) -> list[str]:
-        if self.kind == LEAF:
-            return [self.vertex]
-        out: list[str] = []
-        for c in self.children:
-            out.extend(c.leaves())
-        return out
+        return [node.vertex for node in _preorder(self) if node.kind == LEAF]
 
     def to_nested(self) -> list:
-        if self.kind == LEAF:
-            return [LEAF, self.vertex]
-        return [self.kind] + [c.to_nested() for c in self.children]
+        return _fold(
+            self,
+            lambda node, kids: [LEAF, node.vertex] if node.kind == LEAF else [node.kind, *kids],
+        )
 
     @staticmethod
     def from_nested(obj: list) -> "Cotree":
-        if obj[0] == LEAF:
-            return Cotree(LEAF, vertex=obj[1])
-        return Cotree(obj[0], children=tuple(Cotree.from_nested(c) for c in obj[1:]))
+        return _fold(
+            obj,
+            lambda o, kids: Cotree(LEAF, vertex=o[1]) if o[0] == LEAF else Cotree(o[0], children=tuple(kids)),
+            children=lambda o: () if o[0] == LEAF else o[1:],
+        )
+
+
+def _node_children(node: Cotree):
+    return node.children
+
+
+def _preorder(root, children=_node_children) -> list:
+    """Every node of a tree, each before its children and children in order."""
+    order, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(reversed(children(node)))
+    return order
+
+
+def _fold(root, combine, children=_node_children):
+    """combine(node, [values of its children]) over a tree, children first, without recursion."""
+    value = {}
+    for node in reversed(_preorder(root, children)):
+        value[id(node)] = combine(node, [value[id(c)] for c in children(node)])
+    return value[id(root)]
 
 
 @dataclass(frozen=True)
@@ -91,76 +109,79 @@ class NotCograph:
     p4: tuple[str, str, str, str]
 
 
-def _split_components(g: SimplicialGraph, subset: list[str], complement: bool) -> list[list[str]]:
-    inside = set(subset)
-    unvisited = set(subset)
-    comps = []
-    for start in subset:
-        if start not in unvisited:
-            continue
-        comp = []
-        stack = [start]
-        unvisited.discard(start)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            nbrs = g.neighbors(v)
-            if complement:
-                reach = [u for u in unvisited if u not in nbrs]
-            else:
-                reach = [u for u in unvisited if u in nbrs]
-            for u in reach:
-                unvisited.discard(u)
-                stack.append(u)
-        comps.append(comp)
-    # order parts by first vertex in ambient order
-    idx = {v: i for i, v in enumerate(g.vertices) if v in inside}
-    for comp in comps:
-        comp.sort(key=idx.__getitem__)
-    comps.sort(key=lambda c: idx[c[0]])
-    return comps
-
-
-class _P4Found(Exception):
-    def __init__(self, witness):
-        self.witness = witness
-
-
-def _decompose(g: SimplicialGraph, subset: list[str]) -> Cotree:
-    if len(subset) == 1:
-        return Cotree(LEAF, vertex=subset[0])
-    comps = _split_components(g, subset, complement=False)
-    if len(comps) > 1:
-        return Cotree(UNION, children=tuple(_decompose(g, c) for c in comps))
-    cocomps = _split_components(g, subset, complement=True)
-    if len(cocomps) > 1:
-        return Cotree(JOIN, children=tuple(_decompose(g, c) for c in cocomps))
-    witness = find_full_p4(full_subgraph(g, subset))
-    if witness is None:  # connected + co-connected on >= 2 vertices has a P4
-        raise AssertionError("connected, co-connected subgraph without P4")
-    raise _P4Found(witness)
+def _parts(rows, mask: int, complement: bool) -> list[int]:
+    """Components of the subgraph on `mask` (of its complement if asked), by first vertex."""
+    parts = []
+    while mask:
+        part = frontier = mask & -mask
+        while frontier:
+            reach = 0
+            for i in bit_indices(frontier):
+                reach |= ~rows[i] if complement else rows[i]
+            frontier = reach & mask & ~part
+            part |= frontier
+        parts.append(part)
+        mask &= ~part
+    return parts
 
 
 def decompose(g: SimplicialGraph) -> Union[Cotree, NotCograph]:
-    """Canonical cotree of a cograph, or a NotCograph with its P4 witness."""
+    """Canonical cotree of a cograph, or a NotCograph with its P4 witness.
+
+    Parts are split in pre-order; the first part that is connected and
+    co-connected stops the search, and its least induced P4 is the witness.
+    """
     if g.n == 0:
         raise EmptyGraphError("cannot decompose the empty graph")
-    try:
-        return _decompose(g, list(g.vertices))
-    except _P4Found as found:
-        return NotCograph(found.witness)
+    rows = g._bits
+    nodes = []  # pre-order: [kind, vertex, child slots]
+    stack = [((1 << g.n) - 1, None)]
+    while stack:
+        mask, parent = stack.pop()
+        if parent is not None:
+            nodes[parent][2].append(len(nodes))
+        if mask & (mask - 1) == 0:
+            nodes.append([LEAF, g.vertices[mask.bit_length() - 1], []])
+            continue
+        # a union's child is connected and a join's child co-connected
+        above = nodes[parent][0] if parent is not None else None
+        parts = [mask] if above == UNION else _parts(rows, mask, complement=False)
+        kind = UNION
+        if len(parts) == 1:
+            parts = [mask] if above == JOIN else _parts(rows, mask, complement=True)
+            kind = JOIN
+        if len(parts) == 1:
+            p4 = _least_p4(g, mask)
+            if p4 is None:  # connected + co-connected on >= 2 vertices has a P4
+                raise AssertionError("connected, co-connected subgraph without P4")
+            return NotCograph(p4)
+        slot = len(nodes)
+        nodes.append([kind, None, []])
+        stack.extend((part, slot) for part in reversed(parts))
+    built = [None] * len(nodes)
+    for slot in reversed(range(len(nodes))):
+        kind, vertex, kids = nodes[slot]
+        built[slot] = Cotree(kind, vertex=vertex, children=tuple(built[c] for c in kids))
+    return built[0]
 
 
 def reconstruct(t: Cotree) -> SimplicialGraph:
-    """Graph encoded by a cotree; inverse of decompose up to isomorphism."""
-    if t.kind == LEAF:
-        return single_vertex(t.vertex)
-    parts = [reconstruct(c) for c in t.children]
-    combine = join if t.kind == JOIN else disjoint_union
-    out = parts[0]
-    for p in parts[1:]:
-        out = combine(out, p)
-    return out
+    """Graph encoded by a cotree; inverse of decompose up to isomorphism.
+
+    The leaves, which must be distinct, become the vertices in leaf order;
+    each join node adds every edge between leaves of two different children.
+    """
+    edges = []
+
+    def combine(node, kids):
+        if node.kind == LEAF:
+            return [node.vertex]
+        if node.kind == JOIN:
+            for i, left in enumerate(kids):
+                edges.extend(itertools.product(left, itertools.chain(*kids[i + 1:])))
+        return list(itertools.chain(*kids))
+
+    return SimplicialGraph.build(_fold(t, combine), edges)
 
 
 def hierarchy_level(t: Cotree) -> int:
@@ -169,12 +190,16 @@ def hierarchy_level(t: Cotree) -> int:
     A leaf sits at level 0; a join needs the smallest odd level above all its
     children, a union the smallest even one.
     """
-    if t.kind == LEAF:
-        return 0
-    m = max(hierarchy_level(c) for c in t.children)
-    if t.kind == JOIN:
-        return m + 1 if m % 2 == 0 else m + 2
-    return m + 1 if m % 2 == 1 else m + 2
+
+    def combine(node, kids):
+        if node.kind == LEAF:
+            return 0
+        m = max(kids)
+        if node.kind == JOIN:
+            return m + 1 if m % 2 == 0 else m + 2
+        return m + 1 if m % 2 == 1 else m + 2
+
+    return _fold(t, combine)
 
 
 @dataclass(frozen=True)

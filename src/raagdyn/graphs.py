@@ -1,7 +1,8 @@
 """Finite simplicial graphs: full subgraphs, join/union constructors, P3/P4 search.
 
 Vertices are opaque strings kept in a fixed order; that order is what makes
-pattern searches and serialization deterministic.
+pattern searches and serialization deterministic.  Adjacency is stored once,
+as one bitmask per vertex over that order.
 """
 
 from __future__ import annotations
@@ -73,12 +74,15 @@ class SimplicialGraph:
         return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
-    def _adjacency(self) -> dict[str, frozenset[str]]:
-        nbrs: dict[str, set[str]] = {v: set() for v in self.vertices}
+    def _bits(self) -> tuple[int, ...]:
+        """Adjacency rows as bitmasks: bit j of entry i is set iff vertices i and j touch."""
+        idx = self._index
+        rows = [0] * self.n
         for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return {v: frozenset(s) for v, s in nbrs.items()}
+            i, j = idx[u], idx[v]
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        return tuple(rows)
 
     def index(self, v: str) -> int:
         try:
@@ -87,10 +91,10 @@ class SimplicialGraph:
             raise UnknownVertexError(f"unknown vertex {v!r}") from None
 
     def adjacent(self, u: str, v: str) -> bool:
-        return v in self._adjacency[u]
+        return self._bits[self._index[u]] >> self._index[v] & 1 == 1
 
     def neighbors(self, v: str) -> frozenset[str]:
-        return self._adjacency[v]
+        return frozenset(self.vertices[j] for j in bit_indices(self._bits[self._index[v]]))
 
     def sorted_edges(self) -> list[tuple[str, str]]:
         idx = self._index
@@ -163,39 +167,97 @@ def join(g1: SimplicialGraph, g2: SimplicialGraph) -> SimplicialGraph:
     )
 
 
+def bit_indices(mask: int):
+    """Positions of the set bits of a non-negative mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _triple_shape(rows, i, j, k) -> tuple[int, int, int, int]:
+    """Edge count m of the triple and an ordering (x, y, z) of it.
+
+    With two edges y is the middle vertex of the path x-y-z; with one edge
+    the edge is x-y and z touches neither.
+    """
+    eij, eik, ejk = rows[i] >> j & 1, rows[i] >> k & 1, rows[j] >> k & 1
+    m = eij + eik + ejk
+    if m == 2:
+        if not ejk:
+            return 2, j, i, k
+        return (2, i, j, k) if not eik else (2, i, k, j)
+    if m == 1:
+        if eij:
+            return 1, i, j, k
+        return (1, i, k, j) if eik else (1, j, k, i)
+    return m, i, j, k
+
+
+def _p4_fourths(rows, i, j, k) -> int:
+    """Vertices w (as a mask) such that {i, j, k, w} induces a P4."""
+    m, x, y, z = _triple_shape(rows, i, j, k)
+    if m == 2:  # w extends the path x-y-z at exactly one end
+        return (rows[x] ^ rows[z]) & ~rows[y]
+    if m == 1:  # w links the edge x-y at one end to the lone z
+        return rows[z] & (rows[x] ^ rows[y])
+    return 0
+
+
+def _p3pt_fourths(rows, i, j, k) -> int:
+    """Vertices w (as a mask) such that {i, j, k, w} induces a P3 plus a point."""
+    m, x, y, z = _triple_shape(rows, i, j, k)
+    a, b, c = rows[x], rows[y], rows[z]
+    if m == 2:  # w is the lone point
+        return ~(a | b | c)
+    if m == 1:  # w extends the edge x-y, away from z
+        return (a ^ b) & ~c
+    if m == 0:  # w is the middle of a path through two of the three
+        return (a & b | a & c | b & c) & ~(a & b & c)
+    return 0
+
+
+def _least_quad(rows, mask: int, fourths) -> Optional[tuple[int, int, int, int]]:
+    """First i < j < k < l inside `mask`, in combinations order, with l in fourths(i, j, k).
+
+    For each triple every valid fourth vertex comes at once as a mask; its
+    lowest bit above k is the least completion of that triple.
+    """
+    idx = list(bit_indices(mask))
+    above = {k: mask & -(2 << k) for k in idx}
+    for p, i in enumerate(idx):
+        for q in range(p + 1, len(idx)):
+            j = idx[q]
+            for k in idx[q + 1:]:
+                cand = fourths(rows, i, j, k) & above[k]
+                if cand:
+                    return i, j, k, (cand & -cand).bit_length() - 1
+    return None
+
+
 def find_full_p4(g: SimplicialGraph) -> Optional[tuple[str, str, str, str]]:
     """Lexicographically least induced path on four vertices, or None.
 
     The result (a, b, c, d) spans edges ab, bc, cd and nothing else; the
     witness comes from the first 4-subset in vertex order that induces a path,
-    oriented so the first endpoint precedes the last.
+    oriented so the first endpoint precedes the last.  The search runs over
+    triples and reads every completing fourth vertex off adjacency bitmasks,
+    so it costs O(n^3) mask operations.
     """
-    for quad in itertools.combinations(g.vertices, 4):
-        path = _as_induced_path4(g, quad)
-        if path is not None:
-            return path
-    return None
+    return _least_p4(g, (1 << g.n) - 1)
 
 
-def _as_induced_path4(g, quad) -> Optional[tuple[str, str, str, str]]:
-    inside = [
-        (u, v) for u, v in itertools.combinations(quad, 2) if g.adjacent(u, v)
-    ]
-    if len(inside) != 3:
+def _least_p4(g: SimplicialGraph, mask: int) -> Optional[tuple[str, str, str, str]]:
+    """find_full_p4 on the subgraph induced by the vertices whose bits are in `mask`."""
+    rows = g._bits
+    quad = _least_quad(rows, mask, _p4_fourths)
+    if quad is None:
         return None
-    deg = {v: 0 for v in quad}
-    for u, v in inside:
-        deg[u] += 1
-        deg[v] += 1
-    ends = [v for v in quad if deg[v] == 1]
-    if len(ends) != 2 or any(deg[v] != 2 for v in quad if v not in ends):
-        return None
-    # 3 edges with degree pattern (1,1,2,2) is exactly an induced P4.
-    a = min(ends, key=g.index)
-    d = ends[0] if ends[1] == a else ends[1]
-    b = next(v for v in quad if v != a and g.adjacent(a, v))
-    c = next(v for v in quad if v not in (a, b) and g.adjacent(b, v))
-    return (a, b, c, d)
+    inside = sum(1 << v for v in quad)
+    a, d = (v for v in quad if (rows[v] & inside).bit_count() == 1)
+    b = (rows[a] & inside).bit_length() - 1
+    c = (rows[d] & inside).bit_length() - 1
+    return tuple(g.vertices[v] for v in (a, b, c, d))
 
 
 def find_full_p3(g: SimplicialGraph) -> Optional[tuple[str, str, str]]:
@@ -217,24 +279,19 @@ def find_full_p3(g: SimplicialGraph) -> Optional[tuple[str, str, str]]:
 
 
 def find_full_p3_union_pt(g: SimplicialGraph) -> Optional[tuple[str, str, str, str]]:
-    """Least 4-tuple (end, mid, end, isolated) inducing a P3 plus a lone vertex."""
-    for quad in itertools.combinations(g.vertices, 4):
-        inside = [
-            (u, v) for u, v in itertools.combinations(quad, 2) if g.adjacent(u, v)
-        ]
-        if len(inside) != 2:
-            continue
-        counts = {v: 0 for v in quad}
-        for u, v in inside:
-            counts[u] += 1
-            counts[v] += 1
-        if sorted(counts.values()) != [0, 1, 1, 2]:
-            continue
-        mid = next(v for v in quad if counts[v] == 2)
-        iso = next(v for v in quad if counts[v] == 0)
-        ends = sorted((v for v in quad if counts[v] == 1), key=g.index)
-        return (ends[0], mid, ends[1], iso)
-    return None
+    """Least 4-tuple (end, mid, end, isolated) inducing a P3 plus a lone vertex.
+
+    "Least" means the first 4-subset in vertex order that induces the
+    pattern; the search is the triple-and-mask scan of find_full_p4.
+    """
+    rows = g._bits
+    quad = _least_quad(rows, (1 << g.n) - 1, _p3pt_fourths)
+    if quad is None:
+        return None
+    inside = sum(1 << v for v in quad)
+    by_degree = sorted(quad, key=lambda v: ((rows[v] & inside).bit_count(), v))
+    iso, end1, end2, mid = by_degree
+    return tuple(g.vertices[v] for v in (end1, mid, end2, iso))
 
 
 # ---------------------------------------------------------------------------

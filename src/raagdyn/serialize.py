@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 from typing import Union
@@ -157,5 +158,41 @@ def rotation_to_obj(res: RotationResult) -> dict:
     return {"kind": "bounds", "lo": frac_to_str(res.lo), "hi": frac_to_str(res.hi)}
 
 
+_encode = json.JSONEncoder().encode
+
+
 def dumps_doc(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(doc, indent=2, sort_keys=True)` plus a newline, for string keys.
+
+    Written on an explicit stack: the standard indenting encoder recurses once
+    per nesting level, and a deep cotree would exceed the recursion limit.
+    """
+    out = []
+    stack = []  # per open container: its (key text, value) pairs left, closing bracket
+    value = doc
+    while True:
+        if isinstance(value, dict) and value:
+            out.append("{")
+            stack.append((((_encode(k) + ": ", v) for k, v in sorted(value.items())), "}"))
+        elif isinstance(value, (list, tuple)) and value:
+            out.append("[")
+            stack.append((zip(itertools.repeat(""), value), "]"))
+        else:
+            out.append(_encode(value))
+        while stack:
+            items, close = stack[-1]
+            pad = "\n" + "  " * len(stack)
+            sep = pad if out[-1] in ("{", "[") else "," + pad
+            for key, value in items:  # resumes where the last nested value left it
+                out.append(sep + key)
+                if isinstance(value, (dict, list, tuple)) and value:
+                    break
+                out.append(_encode(value))
+                sep = "," + pad
+            else:
+                stack.pop()
+                out.append(pad[:-2] + close)
+                continue
+            break
+        else:
+            return "".join(out) + "\n"

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from cograph_ref import is_p3_plus_point, threshold_graph
 from raagdyn.cli import main
+from raagdyn.graphs import format_edge_list
 from raagdyn.serialize import map_to_obj
 from raagdyn.plmaps import PLMapCircle
 from raagdyn.randmaps import random_interval_map
@@ -201,3 +203,32 @@ class TestRot:
         p.write_text(json.dumps({"domain": "I", "points": [["0", "0"], ["1", "1"]]}))
         rc, _ = run(tmp_path, "rot", "--input", str(p))
         assert rc == 2
+
+
+def threshold_file(tmp_path, n):
+    p = tmp_path / f"threshold-{n}.txt"
+    p.write_text(format_edge_list(threshold_graph(n)))
+    return str(p)
+
+
+class TestDeepCographs:
+    """Threshold graphs whose cotrees are chains hundreds of nodes deep."""
+
+    def test_threshold_400(self, tmp_path):
+        path = threshold_file(tmp_path, 400)
+        rc, text = run(tmp_path, "classify", "--input", path)
+        assert rc == 0 and json.loads(text)["level"] == 399
+        rc, text = run(tmp_path, "witness", "--input", path)
+        doc = json.loads(text)
+        assert rc == 0 and doc["witness"]["kind"] == "p3-plus-point"
+        assert is_p3_plus_point(threshold_graph(400), doc["witness"]["vertices"])
+
+    @pytest.mark.parametrize("cmd, fmt, want", [
+        ("classify", "json", '"level": 999,'),
+        ("classify", "text", "level: 999"),
+        ("witness", "json", '"kind": "p3-plus-point"'),
+        ("witness", "text", "kind: p3-plus-point"),
+    ])
+    def test_threshold_1000_exits_0(self, tmp_path, cmd, fmt, want):
+        rc, text = run(tmp_path, cmd, "--input", threshold_file(tmp_path, 1000), "--format", fmt)
+        assert rc == 0 and want in text

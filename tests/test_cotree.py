@@ -1,10 +1,17 @@
+import itertools
+import time
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import cograph_ref as ref
 from graph_enum import all_classes_up_to, as_simplicial
 from kn_oracle import KnOracle
 from raagdyn.cotree import (
+    JOIN,
+    UNION,
     Cotree,
     EmptyGraphError,
     NotApplicableError,
@@ -20,12 +27,14 @@ from raagdyn.graphs import (
     complete_graph,
     disjoint_union,
     edgeless_graph,
+    find_full_p3_union_pt,
     find_full_p4,
     full_subgraph,
     path_graph,
     single_vertex,
 )
 from raagdyn.raag import letters_commute, parse_letters
+from raagdyn.serialize import dumps_doc
 
 P3 = path_graph("123")
 P4 = path_graph("1234")
@@ -193,3 +202,83 @@ class TestWitness:
                 for j in range(i + 1, 4):
                     expected = (i, j) in {(0, 1), (1, 2)}
                     assert letters_commute(g, words[i], words[j]) == expected
+
+
+def assert_matches_reference(g):
+    assert decompose(g) == ref.decompose(g)
+    assert find_full_p4(g) == ref.find_full_p4(g)
+    assert find_full_p3_union_pt(g) == ref.find_full_p3_union_pt(g)
+
+
+@st.composite
+def reordered_graphs(draw, max_n=10):
+    """Graphs on v0..v{n-1} whose vertex order is not the sorted order."""
+    n = draw(st.integers(1, max_n))
+    names = [f"v{i}" for i in range(n)]
+    order = draw(st.permutations(names))
+    assume(n == 1 or order != sorted(order))
+    pairs = list(itertools.combinations(names, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return SimplicialGraph.build(order, [p for p, k in zip(pairs, keep) if k])
+
+
+class TestAgainstReference:
+    """The bitmask split and mask-driven scans give the reference's exact output."""
+
+    def test_enumeration_with_shuffled_orders(self):
+        rng = Random(4)
+        for n, edges in all_classes_up_to(7):
+            g = as_simplicial(n, edges)
+            for _ in range(2):
+                order = list(g.vertices)
+                rng.shuffle(order)
+                assert_matches_reference(SimplicialGraph.build(order, g.edges))
+
+    @settings(max_examples=400, deadline=None)
+    @given(reordered_graphs())
+    def test_reordered_graphs(self, g):
+        assert_matches_reference(g)
+
+
+class TestDeepCographs:
+    """Cotree depth is not bounded by the interpreter's recursion limit."""
+
+    def test_thousand_deep_cotree_roundtrip(self):
+        t = leaf("t0")
+        for i in range(1, 1001):
+            t = Cotree(JOIN if i % 2 else UNION, children=(t, leaf(f"t{i}")))
+        back = Cotree.from_nested(t.to_nested())
+        g = reconstruct(back)
+        again = decompose(g)
+        h = reconstruct(again)
+        assert h.vertices == g.vertices and h.edges == g.edges
+        assert g.edges == ref.threshold_graph(1001).edges
+        assert again.leaves() == list(g.vertices)
+        assert hierarchy_level(again) == 1000
+        assert dumps_doc({"t": again.to_nested()}) == dumps_doc({"t": t.to_nested()})
+
+    def test_threshold_400(self):
+        g = ref.threshold_graph(400)
+        cls = classify(g)
+        assert cls.cograph and cls.level == 399 and not cls.verdict.c1bv
+        w = witness(g)
+        assert w.kind == "p3-plus-point" and ref.is_p3_plus_point(g, w.vertices)
+
+    def test_threshold_1000_under_5s(self):
+        g = ref.threshold_graph(1000)
+        t0 = time.monotonic()
+        cls = classify(g)
+        w = witness(g)
+        assert time.monotonic() - t0 < 5.0
+        assert cls.level == 999 and ref.is_p3_plus_point(g, w.vertices)
+
+    def test_p4_substituted_cliques_under_1s(self):
+        m = 60
+        blocks = [[f"q{k}_{i}" for i in range(m)] for k in range(4)]
+        edges = [e for b in blocks for e in itertools.combinations(b, 2)]
+        edges += [(u, v) for a, b in zip(blocks, blocks[1:]) for u in a for v in b]
+        g = SimplicialGraph.build([v for b in blocks for v in b], edges)
+        t0 = time.monotonic()
+        cls = classify(g)
+        assert time.monotonic() - t0 < 1.0
+        assert cls.p4_witness == tuple(b[0] for b in blocks)

@@ -77,6 +77,21 @@ class TestConstruction:
         assert len(g.edges) == 1
 
 
+class TestAdjacency:
+    def test_adjacent_and_neighbors_agree_with_edges(self):
+        rng = Random(8)
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(1, 9))
+            order = list(g.vertices)
+            rng.shuffle(order)
+            g = SimplicialGraph.build(order, g.edges)
+            for u in g.vertices:
+                want = {v for e in g.edges if u in e for v in e if v != u}
+                assert g.neighbors(u) == want
+                for v in g.vertices:
+                    assert g.adjacent(u, v) == (v in want)
+
+
 class TestFullSubgraph:
     def test_path_restriction_is_edge(self):
         g = full_subgraph(P4, {"1", "2"})

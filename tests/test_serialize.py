@@ -3,6 +3,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raagdyn.actions import build_faithful_on, build_separating_action
 from raagdyn.cotree import classify, witness
@@ -105,3 +107,32 @@ def test_dumps_deterministic():
     a = dumps_doc(classification_to_obj(g, classify(g)))
     b = dumps_doc(classification_to_obj(g, classify(g)))
     assert a == b and a.endswith("\n")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(), json_values, max_size=5))
+def test_dumps_doc_matches_json_dumps(doc):
+    assert dumps_doc(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_dumps_doc_deep_nesting():
+    def expected(depth):  # depth nested lists, the innermost empty
+        opens = ["  " * i + "[" for i in range(depth - 1)]
+        closes = ["  " * i + "]" for i in reversed(range(depth - 1))]
+        return "\n".join(opens + ["  " * (depth - 1) + "[]"] + closes) + "\n"
+
+    def nest(depth):
+        doc = []
+        for _ in range(depth - 1):
+            doc = [doc]
+        return doc
+
+    assert expected(4) == json.dumps(nest(4), indent=2) + "\n"
+    assert dumps_doc(nest(5000)) == expected(5000)
