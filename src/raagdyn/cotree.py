@@ -14,7 +14,6 @@ adjacency rows (or their complements) of a whole BFS frontier at once.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -38,12 +37,14 @@ COUNTABLE_WITH_FINITE_ORBIT = "CountableWithFiniteOrbit"
 NO_FAITHFUL_C1BV = "NoFaithfulC1bv"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Cotree:
     """Join/union decomposition tree with canonical alternation.
 
     Internal nodes have at least two children and never a child of their own
     kind; children are ordered by their smallest leaf in parent vertex order.
+    Equality, hashing and repr walk the tree on explicit stacks and agree
+    with what a plain frozen dataclass would give.
     """
 
     kind: str
@@ -62,6 +63,42 @@ class Cotree:
         else:
             raise ValueError(f"unknown node kind {self.kind!r}")
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if (
+                a.__class__ is not b.__class__
+                or (a.kind, a.vertex) != (b.kind, b.vertex)
+                or len(a.children) != len(b.children)
+            ):
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
+
+    def __hash__(self):
+        # hash((kind, vertex, children)), with each child's hash computed first
+        return _fold(self, lambda node, kids: hash((node.kind, node.vertex, tuple(map(_Hashed, kids)))))
+
+    def __repr__(self):
+        out, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            out.append(f"Cotree(kind={item.kind!r}, vertex={item.vertex!r}, children=(")
+            stack.append("))")
+            for k in reversed(range(len(item.children))):
+                stack.append(item.children[k])
+                if k:
+                    stack.append(", ")
+        return "".join(out)
+
     def leaves(self) -> list[str]:
         return [node.vertex for node in _preorder(self) if node.kind == LEAF]
 
@@ -78,6 +115,18 @@ class Cotree:
             lambda o, kids: Cotree(LEAF, vertex=o[1]) if o[0] == LEAF else Cotree(o[0], children=tuple(kids)),
             children=lambda o: () if o[0] == LEAF else o[1:],
         )
+
+
+class _Hashed:
+    """Stands in for a value whose hash is already known."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
 
 
 def _node_children(node: Cotree):
@@ -169,19 +218,25 @@ def reconstruct(t: Cotree) -> SimplicialGraph:
     """Graph encoded by a cotree; inverse of decompose up to isomorphism.
 
     The leaves, which must be distinct, become the vertices in leaf order;
-    each join node adds every edge between leaves of two different children.
+    each join node links every leaf of a child to every leaf of its siblings.
     """
-    edges = []
-
-    def combine(node, kids):
+    order = _preorder(t)
+    leaves = [node.vertex for node in order if node.kind == LEAF]
+    mask, bit = {}, 1 << len(leaves)
+    for node in reversed(order):  # leaves come last-first, so bits run downwards
         if node.kind == LEAF:
-            return [node.vertex]
-        if node.kind == JOIN:
-            for i, left in enumerate(kids):
-                edges.extend(itertools.product(left, itertools.chain(*kids[i + 1:])))
-        return list(itertools.chain(*kids))
-
-    return SimplicialGraph.build(_fold(t, combine), edges)
+            bit >>= 1
+            mask[id(node)] = bit
+        else:
+            mask[id(node)] = sum(mask[id(c)] for c in node.children)
+    # a leaf's row is what its join ancestors add: the parts beside its own branch
+    row = {id(t): 0}
+    for node in order:
+        for c in node.children:
+            row[id(c)] = row[id(node)]
+            if node.kind == JOIN:
+                row[id(c)] |= mask[id(node)] & ~mask[id(c)]
+    return SimplicialGraph(tuple(leaves), tuple(row[id(node)] for node in order if node.kind == LEAF))
 
 
 def hierarchy_level(t: Cotree) -> int:
@@ -234,7 +289,17 @@ def classify(g: SimplicialGraph) -> Classification:
     many semi-conjugacy classes of faithful projective actions, level 3 groups
     only finitely-supported orbits and countably many classes, and beyond
     level 3 no faithful C^{1+bv} action exists at all.
+
+    The graph is immutable, so the result is kept on it: classifying the
+    same instance again, as witness() does, costs nothing.
     """
+    cached = vars(g).get("_classification")
+    if cached is None:
+        cached = vars(g)["_classification"] = _classify(g)
+    return cached
+
+
+def _classify(g: SimplicialGraph) -> Classification:
     if g.n == 0:
         raise EmptyGraphError("cannot classify the empty graph")
     result = decompose(g)

@@ -33,37 +33,44 @@ class GraphParseError(GraphError):
 class SimplicialGraph:
     """Finite loopless undirected graph.
 
-    ``vertices`` is an ordered tuple of distinct identifiers; ``edges`` holds
+    ``vertices`` is an ordered tuple of distinct identifiers; ``_bits`` holds
+    one adjacency row per vertex, bit j of entry i set iff vertices i and j
+    touch (the rows must be symmetric).  ``edges`` is derived from the rows:
     pairs (u, v) with u before v in vertex order.  Instances are immutable and
-    all operations on them are pure.
+    all operations on them are pure, so derived values are cached on the
+    instance: ``edges``, the vertex index, and cotree.classify's verdict.
     """
 
     vertices: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]
+    _bits: tuple[int, ...]
 
     def __post_init__(self):
-        seen = set(self.vertices)
-        if len(seen) != len(self.vertices):
+        n = len(self.vertices)
+        if len(set(self.vertices)) != n:
             raise GraphError("duplicate vertex identifiers")
-        for u, v in self.edges:
-            if u == v:
-                raise GraphError(f"loop at vertex {u!r}")
-            if u not in seen or v not in seen:
-                raise GraphError(f"edge ({u!r}, {v!r}) mentions unknown vertex")
+        if len(self._bits) != n:
+            raise GraphError(f"{len(self._bits)} adjacency rows for {n} vertices")
+        for i, row in enumerate(self._bits):
+            if row >> i & 1:
+                raise GraphError(f"loop at vertex {self.vertices[i]!r}")
+            if row < 0 or row >> n:
+                raise GraphError(f"row of vertex {self.vertices[i]!r} mentions unknown vertex")
 
     @staticmethod
     def build(vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> "SimplicialGraph":
-        """Construct with edges normalized to vertex order and deduplicated."""
+        """Construct from edges in any orientation; repeated edges collapse."""
         vs = tuple(vertices)
         pos = {v: i for i, v in enumerate(vs)}
-        norm = set()
+        rows = [0] * len(vs)
         for u, v in edges:
-            if u not in pos or v not in pos:
+            i, j = pos.get(u), pos.get(v)
+            if i is None or j is None:
                 raise GraphError(f"edge ({u!r}, {v!r}) mentions unknown vertex")
             if u == v:
                 raise GraphError(f"loop at vertex {u!r}")
-            norm.add((u, v) if pos[u] < pos[v] else (v, u))
-        return SimplicialGraph(vs, frozenset(norm))
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        return SimplicialGraph(vs, tuple(rows))
 
     @property
     def n(self) -> int:
@@ -74,15 +81,8 @@ class SimplicialGraph:
         return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
-    def _bits(self) -> tuple[int, ...]:
-        """Adjacency rows as bitmasks: bit j of entry i is set iff vertices i and j touch."""
-        idx = self._index
-        rows = [0] * self.n
-        for u, v in self.edges:
-            i, j = idx[u], idx[v]
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        return tuple(rows)
+    def edges(self) -> frozenset[tuple[str, str]]:
+        return frozenset(self.sorted_edges())
 
     def index(self, v: str) -> int:
         try:
@@ -97,8 +97,13 @@ class SimplicialGraph:
         return frozenset(self.vertices[j] for j in bit_indices(self._bits[self._index[v]]))
 
     def sorted_edges(self) -> list[tuple[str, str]]:
-        idx = self._index
-        return sorted(self.edges, key=lambda e: (idx[e[0]], idx[e[1]]))
+        """Edges in vertex order of the first endpoint, then of the second."""
+        vs = self.vertices
+        return [
+            (vs[i], vs[j])
+            for i, row in enumerate(self._bits)
+            for j in bit_indices(row >> i + 1 << i + 1)
+        ]
 
 
 def single_vertex(name: str = "v") -> SimplicialGraph:
@@ -137,33 +142,29 @@ def full_subgraph(g: SimplicialGraph, s: Iterable[str]) -> SimplicialGraph:
     return SimplicialGraph.build(vs, es)
 
 
-def _resolve_collisions(g1: SimplicialGraph, g2: SimplicialGraph) -> SimplicialGraph:
+def _renamed(g1: SimplicialGraph, g2: SimplicialGraph) -> tuple[str, ...]:
     # Deterministic renaming: prefix every g2 vertex with "g2/" until disjoint.
     taken = set(g1.vertices)
-    rename = {v: v for v in g2.vertices}
-    while any(name in taken for name in rename.values()):
-        rename = {v: "g2/" + name for v, name in rename.items()}
-    if all(rename[v] == v for v in g2.vertices):
-        return g2
-    return SimplicialGraph.build(
-        [rename[v] for v in g2.vertices],
-        [(rename[u], rename[v]) for u, v in g2.edges],
-    )
+    names = g2.vertices
+    while any(name in taken for name in names):
+        names = tuple("g2/" + name for name in names)
+    return names
 
 
 def disjoint_union(g1: SimplicialGraph, g2: SimplicialGraph) -> SimplicialGraph:
-    g2 = _resolve_collisions(g1, g2)
-    return SimplicialGraph.build(
-        g1.vertices + g2.vertices, list(g1.edges) + list(g2.edges)
+    shift = g1.n
+    return SimplicialGraph(
+        g1.vertices + _renamed(g1, g2), g1._bits + tuple(row << shift for row in g2._bits)
     )
 
 
 def join(g1: SimplicialGraph, g2: SimplicialGraph) -> SimplicialGraph:
     """Disjoint union plus every cross edge."""
-    g2 = _resolve_collisions(g1, g2)
-    cross = [(u, v) for u in g1.vertices for v in g2.vertices]
-    return SimplicialGraph.build(
-        g1.vertices + g2.vertices, list(g1.edges) + list(g2.edges) + cross
+    shift = g1.n
+    first, second = (1 << shift) - 1, ((1 << g2.n) - 1) << shift
+    return SimplicialGraph(
+        g1.vertices + _renamed(g1, g2),
+        tuple(row | second for row in g1._bits) + tuple(row << shift | first for row in g2._bits),
     )
 
 
@@ -298,40 +299,52 @@ def find_full_p3_union_pt(g: SimplicialGraph) -> Optional[tuple[str, str, str, s
 # Text formats: plain edge lists and a small undirected DOT subset.
 
 
+class _FirstMention(dict):
+    """Vertex -> index in first-mention order, plus one adjacency row per vertex.
+
+    Looking a vertex up for the first time numbers it next and gives it an
+    empty row; a parser sets each edge's two bits in ``rows`` directly.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.rows: list[int] = []
+
+    def __missing__(self, v: str) -> int:
+        self.rows.append(0)
+        i = self[v] = len(self)
+        return i
+
+    def graph(self) -> SimplicialGraph:
+        return SimplicialGraph(tuple(self), tuple(self.rows))
+
+
 def parse_edge_list(text: str) -> SimplicialGraph:
     """Parse "u v" edge lines and "vertex u" declarations.
 
     Blank lines and lines starting with "#" are skipped.  Vertices appear in
     first-mention order.
     """
-    order: list[str] = []
-    seen: set[str] = set()
-    edges: list[tuple[str, str]] = []
-
-    def declare(v: str):
-        if v not in seen:
-            seen.add(v)
-            order.append(v)
-
+    pos = _FirstMention()
+    rows = pos.rows
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
             continue
-        tokens = line.split()
         if tokens[0] == "vertex":
             if len(tokens) != 2:
                 raise GraphParseError("expected 'vertex NAME'", lineno)
-            declare(tokens[1])
+            pos[tokens[1]]  # numbers the vertex if it is new
         elif len(tokens) == 2:
             u, v = tokens
             if u == v:
                 raise GraphParseError(f"loop at vertex {u!r}", lineno)
-            declare(u)
-            declare(v)
-            edges.append((u, v))
+            i, j = pos[u], pos[v]
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
         else:
-            raise GraphParseError(f"cannot parse {line!r}", lineno)
-    return SimplicialGraph.build(order, edges)
+            raise GraphParseError(f"cannot parse {raw.strip()!r}", lineno)
+    return pos.graph()
 
 
 def format_edge_list(g: SimplicialGraph) -> str:
@@ -367,37 +380,35 @@ def parse_dot(text: str) -> SimplicialGraph:
         raise GraphParseError("expected '{'")
     i += 1
 
-    order: list[str] = []
-    seen: set[str] = set()
-    edges: list[tuple[str, str]] = []
+    pos = _FirstMention()
+    rows = pos.rows
 
-    def declare(v: str):
+    def declare(v: str) -> int:
         if v in ("{", "}", ";", "--"):
             raise GraphParseError(f"unexpected token {v!r}")
-        if v not in seen:
-            seen.add(v)
-            order.append(v)
+        return pos[v]
 
     while i < len(tokens) and tokens[i] != "}":
         if tokens[i] == ";":
             i += 1
             continue
         u = tokens[i]
-        declare(u)
+        a = declare(u)
         i += 1
         while i < len(tokens) and tokens[i] == "--":
             if i + 1 >= len(tokens):
                 raise GraphParseError("dangling '--'")
             v = tokens[i + 1]
-            declare(v)
+            b = declare(v)
             if u == v:
                 raise GraphParseError(f"loop at vertex {u!r}")
-            edges.append((u, v))
-            u = v
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+            u, a = v, b
             i += 2
     if i >= len(tokens):
         raise GraphParseError("missing closing '}'")
-    return SimplicialGraph.build(order, edges)
+    return pos.graph()
 
 
 def format_dot(g: SimplicialGraph) -> str:

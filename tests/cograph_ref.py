@@ -9,6 +9,8 @@ Recursion depth grows with the cotree depth, so use them on small graphs.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
+from typing import Optional
 
 from raagdyn.cotree import JOIN, LEAF, UNION, Cotree, NotCograph
 from raagdyn.graphs import SimplicialGraph, full_subgraph
@@ -125,3 +127,20 @@ def is_p3_plus_point(g: SimplicialGraph, quad) -> bool:
     return len(set(quad)) == 4 and all(
         g.adjacent(u, v) == (frozenset((u, v)) in want) for u, v in itertools.combinations(quad, 2)
     )
+
+
+@dataclass(frozen=True)
+class PlainCotree:
+    """Cotree's fields in a plain frozen dataclass, with the generated, recursive
+    __eq__, __hash__ and __repr__ (its repr is named "Cotree" to match)."""
+
+    kind: str
+    vertex: Optional[str] = None
+    children: tuple["PlainCotree", ...] = ()
+
+
+PlainCotree.__qualname__ = "Cotree"
+
+
+def plain(t: Cotree) -> PlainCotree:
+    return PlainCotree(t.kind, t.vertex, tuple(plain(c) for c in t.children))

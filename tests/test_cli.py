@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import raagdyn.cotree
 from cograph_ref import is_p3_plus_point, threshold_graph
 from raagdyn.cli import main
 from raagdyn.graphs import format_edge_list
@@ -70,6 +71,19 @@ class TestWitness:
         rc, text = run(tmp_path, "witness", "--input", str(p))
         assert rc == 1
         assert json.loads(text)["error"]["type"] == "NotApplicable"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("text", ["1 2\n2 3\n3 4\n", "a b\nb c\nvertex d\n", "x y\n"])
+def test_witness_decomposes_once(tmp_path, monkeypatch, fmt, text):
+    calls = []
+    real = raagdyn.cotree.decompose
+    monkeypatch.setattr(raagdyn.cotree, "decompose", lambda g: calls.append(g) or real(g))
+    p = tmp_path / "g.txt"
+    p.write_text(text)
+    rc, _ = run(tmp_path, "witness", "--input", str(p), "--format", fmt)
+    assert rc == (1 if text == "x y\n" else 0)
+    assert len(calls) == 1
 
 
 class TestRealizeAndVerify:

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 import cograph_ref as ref
 from graph_enum import all_classes_up_to, as_simplicial
 from kn_oracle import KnOracle
+import raagdyn.cotree
 from raagdyn.cotree import (
     JOIN,
+    LEAF,
     UNION,
     Cotree,
     EmptyGraphError,
@@ -238,6 +240,63 @@ class TestAgainstReference:
     @given(reordered_graphs())
     def test_reordered_graphs(self, g):
         assert_matches_reference(g)
+
+
+class TestCotreeDunders:
+    """Equality, hash and repr match a plain frozen dataclass, at any depth."""
+
+    def small_trees(self):
+        trees = [leaf("x")]
+        for n, edges in all_classes_up_to(5):
+            t = decompose(as_simplicial(n, edges))
+            if isinstance(t, Cotree):
+                trees.append(t)
+        return trees
+
+    def test_match_generated_methods_on_small_trees(self):
+        trees = self.small_trees()
+        plains = [ref.plain(t) for t in trees]
+        for t, p in zip(trees, plains):
+            assert repr(t) == repr(p)
+            assert hash(t) == hash(p) == hash((t.kind, t.vertex, t.children))
+        for (s, ps), (t, pt) in itertools.product(zip(trees, plains), repeat=2):
+            assert (s == t) == (ps == pt)
+            assert (s != t) == (ps != pt)
+        twin = Cotree.from_nested(trees[-1].to_nested())
+        assert twin == trees[-1] and twin is not trees[-1]
+        assert Cotree(LEAF, vertex="x") != ref.PlainCotree(LEAF, vertex="x")
+
+    def test_deep_trees(self):
+        t = decompose(ref.threshold_graph(1200))
+        twin = Cotree.from_nested(t.to_nested())
+        nested = t.to_nested()
+        node = nested
+        while node[0] != LEAF:
+            node = node[1]
+        node[1] = "renamed"
+        other = Cotree.from_nested(nested)
+        assert t == twin and not t != twin and hash(t) == hash(twin)
+        assert t != other and not t == other
+        text = repr(t)
+        assert text.startswith("Cotree(kind='join', vertex=None, children=(Cotree(kind='union'")
+        assert text.count("Cotree(") == 2 * 1200 - 1 and text == repr(twin)
+        assert repr(other) == text.replace("vertex='t0'", "vertex='renamed'")
+
+
+class TestOneDecomposition:
+    """classify keeps its result on the graph, so witness does not decompose again."""
+
+    def test_classify_then_witness(self, monkeypatch):
+        calls = []
+        real = raagdyn.cotree.decompose
+        monkeypatch.setattr(raagdyn.cotree, "decompose", lambda g: calls.append(g) or real(g))
+        for g in (path_graph("1234"), ref.threshold_graph(12), disjoint_union(path_graph("123"), single_vertex("4"))):
+            cls = classify(g)
+            w = witness(g)
+            assert classify(g) is cls
+            assert calls == [g]
+            assert w.kind in ("p4-conjugate", "p3-plus-point")
+            calls.clear()
 
 
 class TestDeepCographs:

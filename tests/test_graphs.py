@@ -2,7 +2,10 @@ import itertools
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import loader_ref
 from raagdyn.graphs import (
     GraphError,
     GraphParseError,
@@ -239,3 +242,131 @@ class TestFormats:
     def test_dot_missing_brace(self):
         with pytest.raises(GraphParseError):
             parse_dot("graph { a -- b; ")
+
+
+NAMES = ("a", "b", "c", "d", "x1", "vertex", "graph")
+
+
+def edge_list_lines():
+    name = st.sampled_from(NAMES)
+    pad = st.sampled_from(("", " ", "\t", "  "))
+    return st.one_of(
+        st.tuples(pad, name, pad, name, pad).map(lambda t: f"{t[0]}{t[1]} {t[2]}{t[3]}{t[4]}"),
+        name.map(lambda v: f"vertex {v}"),
+        st.sampled_from(("", "   ", "# a comment", "  # b c", "#vertex q")),
+    )
+
+
+malformed_lines = st.sampled_from(("a", "a b c", "vertex", "vertex a b", "a a", "\tb  b"))
+
+
+@st.composite
+def edge_list_texts(draw, malformed=False):
+    lines = draw(st.lists(edge_list_lines(), max_size=30))
+    if malformed:
+        lines.insert(draw(st.integers(0, len(lines))), draw(malformed_lines))
+    return "\n".join(lines) + draw(st.sampled_from(("", "\n")))
+
+
+@st.composite
+def dot_texts(draw, malformed=False):
+    name = st.sampled_from(NAMES[:-2])
+    stmt = st.one_of(
+        name.map(lambda v: f"{v};"),
+        st.lists(name, min_size=2, max_size=4).map(" -- ".join),
+        st.lists(name, min_size=2, max_size=3).map(lambda vs: "--".join(vs) + ";"),
+        st.sampled_from((";", "// a -- b", "a -- b; // c -- d")),
+    )
+    body = draw(st.lists(stmt, max_size=20))
+    if malformed:
+        body.insert(draw(st.integers(0, len(body))), draw(st.sampled_from(("a --", "b -- b", "{", "-- c", "}"))))
+    head = draw(st.sampled_from(("graph {", "graph G {", "strict graph g {", "# note\ngraph{")))
+    tail = draw(st.sampled_from(("}", "}\n", "} // end")))
+    sep = draw(st.sampled_from(("\n", " ", "\n  ")))
+    return sep.join([head, *body, tail])
+
+
+def assert_loads_like_reference(text):
+    """Same graph as the old set-of-edge-tuples loader, or the same error."""
+    try:
+        want = loader_ref.load_graph(text)
+    except GraphError as e:
+        with pytest.raises(GraphError) as err:
+            load_graph(text)
+        assert type(err.value) is type(e)
+        assert str(err.value) == str(e)
+        assert getattr(err.value, "line", None) == getattr(e, "line", None)
+        return
+    g = load_graph(text)
+    assert g.vertices == want.vertices
+    assert g.edges == want.edges
+    assert g._bits == want.bits
+    built = SimplicialGraph.build(want.vertices, want.edges)
+    assert g == built and hash(g) == hash(built)
+    again = load_graph(text)
+    assert g == again and hash(g) == hash(again)
+    if g.n >= 2:
+        flipped = SimplicialGraph.build(g.vertices, want.edges ^ {g.vertices[:2]})
+        assert g != flipped
+
+
+class TestLoaderAgainstReference:
+    """Rows written while parsing equal the old parse -> frozenset -> rows path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_list_texts())
+    def test_edge_lists(self, text):
+        assert_loads_like_reference(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dot_texts())
+    def test_dot(self, text):
+        assert_loads_like_reference(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(edge_list_texts(malformed=True), dot_texts(malformed=True)))
+    def test_malformed_texts(self, text):
+        assert_loads_like_reference(text)
+
+    @pytest.mark.parametrize("text", [
+        "a a\n",
+        "1 2\nbogus line here\n",
+        "ok 1\n\t a b c  \n",
+        "# c\n\nvertex\n",
+        "vertex a b\n",
+        "a b\n\n  c   c\n",
+        "",
+        "graph",
+        "strict\n",
+        "digraph { a -- b }",
+        "graph G a { }",
+        "graph { a -- b; ",
+        "graph { a -- }",
+        "graph { a -- a; }",
+        "graph { a -- b -- a -- a }",
+        "graph { a -- ",
+        "graph { { }",
+        "graph { ; -- b }",
+        "graph { a b -- c ; } trailing",
+    ])
+    def test_fixed_inputs(self, text):
+        assert_loads_like_reference(text)
+
+
+class TestRows:
+    def test_rows_are_checked(self):
+        assert SimplicialGraph(("a", "b"), (0b10, 0b01)).edges == frozenset({("a", "b")})
+        for vertices, rows in [
+            (("a", "a"), (0, 0)),  # duplicate vertex
+            (("a", "b"), (0b01, 0)),  # diagonal bit
+            (("a", "b"), (0b100, 0)),  # bit beyond the last vertex
+            (("a", "b"), (-1, 0)),
+            (("a", "b"), (0,)),  # a row missing
+        ]:
+            with pytest.raises(GraphError):
+                SimplicialGraph(vertices, rows)
+
+    def test_sorted_edges_in_vertex_order(self):
+        g = SimplicialGraph.build("dcba", [("a", "b"), ("a", "d"), ("c", "b"), ("d", "c")])
+        assert g.sorted_edges() == [("d", "c"), ("d", "a"), ("c", "b"), ("b", "a")]
+        assert g.edges == frozenset(g.sorted_edges())
