@@ -291,28 +291,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def add(name, fn, help_text):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(fn=fn)
         p.add_argument("--input", help="input file path")
         p.add_argument("--output", help="output file path (default stdout)")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=100)
-        p.add_argument("--qmax", type=int, default=64)
+        return p
 
-    for name, fn, help_text in (
-        ("classify", cmd_classify, "smoothability verdict for a graph"),
-        ("witness", cmd_witness, "obstruction witness words for a graph"),
-        ("realize", cmd_realize, "action moving a point for every listed word"),
-        ("rot", cmd_rot, "rotation number of a circle map"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        common(p)
-        p.set_defaults(fn=fn)
-
-    p = sub.add_parser("verify", help="run a named checker")
+    add("classify", cmd_classify, "smoothability verdict for a graph")
+    add("witness", cmd_witness, "obstruction witness words for a graph")
+    add("realize", cmd_realize, "action moving a point for every listed word")
+    p = add("rot", cmd_rot, "rotation number of a circle map")
+    p.add_argument("--qmax", type=int, default=64)
+    p = add("verify", cmd_verify, "run a named checker")
     p.add_argument("check", help="one of: " + ", ".join(sorted(_CHECKS)))
-    common(p)
-    p.set_defaults(fn=cmd_verify)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=100)
     return parser
 
 

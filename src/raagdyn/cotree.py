@@ -66,19 +66,7 @@ class Cotree:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if (
-                a.__class__ is not b.__class__
-                or (a.kind, a.vertex) != (b.kind, b.vertex)
-                or len(a.children) != len(b.children)
-            ):
-                return False
-            stack.extend(zip(a.children, b.children))
-        return True
+        return self is other or _shape(self) == _shape(other)
 
     def __hash__(self):
         # hash((kind, vertex, children)), with each child's hash computed first
@@ -131,6 +119,11 @@ class _Hashed:
 
 def _node_children(node: Cotree):
     return node.children
+
+
+def _shape(tree: Cotree) -> list:
+    """(kind, vertex, child count) of every node in pre-order: the tree up to identity."""
+    return [(node.kind, node.vertex, len(node.children)) for node in _preorder(tree)]
 
 
 def _preorder(root, children=_node_children) -> list:

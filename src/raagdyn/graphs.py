@@ -262,20 +262,20 @@ def _least_p4(g: SimplicialGraph, mask: int) -> Optional[tuple[str, str, str, st
 
 
 def find_full_p3(g: SimplicialGraph) -> Optional[tuple[str, str, str]]:
-    """Least induced path on three vertices; None iff g is a union of cliques."""
-    for trip in itertools.combinations(g.vertices, 3):
-        inside = [
-            (u, v) for u, v in itertools.combinations(trip, 2) if g.adjacent(u, v)
-        ]
-        if len(inside) != 2:
-            continue
-        counts = {v: 0 for v in trip}
-        for u, v in inside:
-            counts[u] += 1
-            counts[v] += 1
-        mid = next(v for v in trip if counts[v] == 2)
-        ends = sorted((v for v in trip if v != mid), key=g.index)
-        return (ends[0], mid, ends[1])
+    """Least induced path on three vertices; None iff g is a union of cliques.
+
+    "Least" means the first 3-subset in vertex order that induces a path.
+    For each pair i < j the valid third vertices come at once as a mask:
+    those adjacent to exactly one of i, j when i-j is an edge, to both when
+    it is not.  Its lowest bit above j is the least completion of the pair.
+    """
+    rows = g._bits
+    for i in range(g.n):
+        for j in range(i + 1, g.n):
+            third = (rows[i] ^ rows[j] if rows[i] >> j & 1 else rows[i] & rows[j]) >> (j + 1)
+            if third:
+                _, end1, mid, end2 = _triple_shape(rows, i, j, j + (third & -third).bit_length())
+                return g.vertices[end1], g.vertices[mid], g.vertices[end2]
     return None
 
 

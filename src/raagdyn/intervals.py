@@ -17,11 +17,6 @@ from typing import Callable, Iterable, Optional
 Part = tuple[Fraction, bool, Fraction, bool]  # (a, a_closed, b, b_closed)
 
 
-def _end_leq(b1: Fraction, bc1: bool, b2: Fraction, bc2: bool) -> bool:
-    # right-endpoint order: closed reaches further than open at the same point
-    return b1 < b2 or (b1 == b2 and (bc2 or not bc1))
-
-
 def _normalize(parts: Iterable[Part]) -> tuple[Part, ...]:
     kept = []
     for a, ac, b, bc in parts:

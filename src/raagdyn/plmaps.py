@@ -147,11 +147,6 @@ class PLMap:
         k = math.floor(x)
         return _eval_pl(self.xs, self.ys, x - k) + k
 
-    def evaluate_lift_inverse(self, y) -> Fraction:
-        y = Fraction(y)
-        k = math.floor(y - self.points[0][1])
-        return _eval_pl(self.ys, self.xs, y - k) + k
-
     def is_identity(self) -> bool:
         return self.points == _IDENTITY
 

@@ -24,15 +24,24 @@ def random_increasing(rng: Random, lo: Fraction, hi: Fraction, count: int) -> li
     return [lo + (hi - lo) * Fraction(k, grid) for k in ks]
 
 
-def random_interval_map(
-    rng: Random, max_breaks: int = 5, pin_prob: float = 0.35
-) -> PLMapInterval:
+def _random_points(rng: Random, max_breaks: int, pin_prob: float | None):
+    """Breakpoints of a random lift of [0, 1] on a grid of step 1/d.
+
+    Each grid x is pinned (y = x) with probability pin_prob, and the points
+    between two pins get random increasing values.  pin_prob None pins
+    nothing and draws the value at 0 from the grid instead of taking 0.
+    """
     d = rng.choice(_DENOMS)
     count = rng.randint(0, max_breaks)
     xs = [Fraction(k, d) for k in sorted(rng.sample(range(1, d), count))]
-    pinned = [rng.random() < pin_prob for _ in xs]
+    if pin_prob is None:
+        base = Fraction(rng.randint(0, d - 1), d)
+        pinned = [False] * len(xs)
+    else:
+        base = Fraction(0)
+        pinned = [rng.random() < pin_prob for _ in xs]
 
-    pts: list[tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(0))]
+    pts: list[tuple[Fraction, Fraction]] = [(Fraction(0), base)]
     pending: list[Fraction] = []
 
     def flush(anchor_x: Fraction, anchor_y: Fraction):
@@ -46,8 +55,14 @@ def random_interval_map(
             flush(x, x)  # pins are y = x, always above the previous anchor
         else:
             pending.append(x)
-    flush(Fraction(1), Fraction(1))
-    return PLMapInterval.from_points(pts)
+    flush(Fraction(1), base + 1)
+    return pts
+
+
+def random_interval_map(
+    rng: Random, max_breaks: int = 5, pin_prob: float = 0.35
+) -> PLMapInterval:
+    return PLMapInterval.from_points(_random_points(rng, max_breaks, pin_prob))
 
 
 def random_bump(rng: Random, lo, hi, max_breaks: int = 3) -> PLMapInterval:
@@ -70,32 +85,7 @@ def random_bump(rng: Random, lo, hi, max_breaks: int = 3) -> PLMapInterval:
 def random_circle_map(
     rng: Random, max_breaks: int = 4, grounded: bool = False
 ) -> PLMapCircle:
-    d = rng.choice(_DENOMS)
-    count = rng.randint(0, max_breaks)
-    xs = [Fraction(k, d) for k in sorted(rng.sample(range(1, d), count))]
-    if grounded:
-        base = Fraction(0)
-        pinned = [rng.random() < 0.3 for _ in xs]
-    else:
-        base = Fraction(rng.randint(0, d - 1), d)
-        pinned = [False] * len(xs)
-
-    pts: list[tuple[Fraction, Fraction]] = [(Fraction(0), base)]
-    pending: list[Fraction] = []
-
-    def flush(anchor_x: Fraction, anchor_y: Fraction):
-        ys = random_increasing(rng, pts[-1][1], anchor_y, len(pending))
-        pts.extend(zip(pending, ys))
-        pts.append((anchor_x, anchor_y))
-        pending.clear()
-
-    for x, pin in zip(xs, pinned):
-        if pin and pts[-1][1] < x:
-            flush(x, x)
-        else:
-            pending.append(x)
-    flush(Fraction(1), base + 1)
-    return PLMapCircle.from_points(pts)
+    return PLMapCircle.from_points(_random_points(rng, max_breaks, 0.3 if grounded else None))
 
 
 def random_rotation_conjugate(
@@ -153,12 +143,8 @@ def random_phi_triple(rng: Random, domain: str = "I"):
     supp d across into supp c, or a wide bump straddling the split, so the
     commutator [c, b d b^-1] is mostly nontrivial.
     """
-    if domain == "S1":
-        ci, di = random_disjoint_pair(rng, "I")
-        c, d = _bump_to_circle(ci), _bump_to_circle(di)
-    else:
-        ci, di = random_disjoint_pair(rng, "I")
-        c, d = ci, di
+    ci, di = random_disjoint_pair(rng, "I")
+    c, d = (_bump_to_circle(ci), _bump_to_circle(di)) if domain == "S1" else (ci, di)
     mode = rng.random()
     if mode < 0.34:
         b = _crossing_bump(rng, ci, di)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -18,7 +19,17 @@ SCHEMA_VERSION = 1
 
 
 def frac_to_str(x) -> str:
-    return str(Fraction(x))
+    """Exact text of a computed rational, past the int-to-str digit limit that guards input."""
+    x = Fraction(x)
+    try:
+        return str(x)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(x)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class PayloadError(ValueError):

@@ -21,14 +21,6 @@ class TrivialWordError(ValueError):
     pass
 
 
-def ab(m: int, n: int) -> Syllable:
-    return (AB, m, n)
-
-
-def tt(r: int) -> Syllable:
-    return (T, r)
-
-
 def _is_zero(s: Syllable) -> bool:
     return all(e == 0 for e in s[1:])
 

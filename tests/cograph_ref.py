@@ -92,6 +92,21 @@ def find_full_p4(g: SimplicialGraph):
     return None
 
 
+def find_full_p3(g: SimplicialGraph):
+    for trip in itertools.combinations(g.vertices, 3):
+        inside = [(u, v) for u, v in itertools.combinations(trip, 2) if g.adjacent(u, v)]
+        if len(inside) != 2:
+            continue
+        counts = {v: 0 for v in trip}
+        for u, v in inside:
+            counts[u] += 1
+            counts[v] += 1
+        mid = next(v for v in trip if counts[v] == 2)
+        ends = sorted((v for v in trip if v != mid), key=g.index)
+        return (ends[0], mid, ends[1])
+    return None
+
+
 def find_full_p3_union_pt(g: SimplicialGraph):
     for quad in itertools.combinations(g.vertices, 4):
         inside = [(u, v) for u, v in itertools.combinations(quad, 2) if g.adjacent(u, v)]

@@ -96,6 +96,19 @@ class TestRealizeAndVerify:
         rc = main(["verify", "action", "--input", str(bundle), "--output", str(tmp_path / "v")])
         assert rc == 0
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_realize_past_int_str_digit_limit(self, tmp_path, fmt):
+        """The witness image has more digits than Python's default int-to-str limit."""
+        words = tmp_path / "words.txt"
+        words.write_text("a^3000 t a^3000 t a^-3000\n")
+        rc, text = run(tmp_path, "realize", "--input", str(words), "--format", fmt)
+        assert rc == 0
+        if fmt == "text":  # "x -> y", y printed in full
+            assert len(text.split(" -> ")[1].split("/")[0]) > 4300
+        else:  # run() wrote the bundle to tmp_path / "out"
+            assert main(["verify", "action", "--input", str(tmp_path / "out"),
+                         "--output", str(tmp_path / "v")]) == 0
+
     def test_trivial_word_exits_2(self, tmp_path):
         words = tmp_path / "words.txt"
         words.write_text("t\na b a^-1 b^-1\n")
@@ -246,3 +259,29 @@ class TestDeepCographs:
     def test_threshold_1000_exits_0(self, tmp_path, cmd, fmt, want):
         rc, text = run(tmp_path, cmd, "--input", threshold_file(tmp_path, 1000), "--format", fmt)
         assert rc == 0 and want in text
+
+
+class TestOptionSurface:
+    """Each subcommand takes only the options its handler reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--seed", "1"],
+        ["witness", "--samples", "5"],
+        ["realize", "--qmax", "3"],
+        ["rot", "--samples", "5"],
+        ["rot", "--seed", "1"],
+        ["verify", "comm-supp", "--qmax", "3"],
+    ])
+    def test_unread_option_exits_2(self, p4_file, capsys, argv):
+        with pytest.raises(SystemExit) as e:
+            main(argv + ["--input", p4_file])
+        assert e.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_read_options_still_accepted(self, tmp_path):
+        rc, text = run(tmp_path, "verify", "comm-supp", "--seed", "42", "--samples", "300")
+        assert rc == 0 and json.loads(text)["detail"] == {"samples": 300, "failures": 0}
+        p = tmp_path / "rot.json"
+        p.write_text(json.dumps(map_to_obj(PLMapCircle.rotation("1/3"))))
+        rc, text = run(tmp_path, "rot", "--input", str(p), "--qmax", "10", "--format", "text")
+        assert rc == 0 and text == "1/3\n"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cograph_ref as ref
 import loader_ref
 from raagdyn.graphs import (
     GraphError,
@@ -196,6 +197,15 @@ class TestPatternSearch:
         for _ in range(150):
             g = random_graph(rng, rng.randint(1, 6))
             assert (find_full_p3(g) is None) == (not brute_force_has_p3(g))
+
+    def test_p3_matches_reference_on_shuffled_graphs(self):
+        rng = Random(53)
+        for _ in range(2000):
+            g = random_graph(rng, rng.randint(0, 9))
+            order = list(g.vertices)
+            rng.shuffle(order)
+            g = SimplicialGraph.build(order, g.edges)
+            assert find_full_p3(g) == ref.find_full_p3(g)
 
     def test_p3_union_pt(self):
         g = disjoint_union(path_graph("123"), single_vertex("4"))
