@@ -67,7 +67,8 @@ class ActionPlan:
 
 def _chain_bump(scale: int, lo: int, hi: int, start: int, end: int, steps: int, forward: bool) -> Bump:
     """Bump on [lo, hi] / scale whose `steps`-th power (or inverse power) sends start to end."""
-    assert lo < start < end < hi
+    if not lo < start < end < hi:
+        raise AssertionError(f"chain bump corners out of order: {lo}, {start}, {end}, {hi}")
     k, gap = steps, end - start
     if k == 1:  # the two inner corners coincide
         xs, ys = (lo, start, hi), (lo, end, hi)
@@ -99,7 +100,8 @@ def plan_separating_action(word: Union[FreeProductWord, str]) -> ActionPlan:
         (a_bumps if m else b_bumps).append(_chain_bump(scale, s, s + 12, s + 2, s + 8, abs(e), e > 0))
         base = s + 2
     else:
-        assert len(syl) % 2 == 0 and syl[0][0] == AB and syl[-1][0] == T
+        if len(syl) % 2 or syl[0][0] != AB or syl[-1][0] != T:
+            raise AssertionError("cyclic normal form must alternate AB, T syllables")
         scale, base = 14 * len(syl) + 4, 4
         prev, c = 4, 2  # point carried forward (x0, then each G_i); next t bump's lo
         for i, k in enumerate(range(len(syl) - 2, -1, -2)):  # pair i acts i-th

@@ -153,6 +153,8 @@ def _verify_sampled(args, payload, keys, draw, check):
     if payload is not None:
         ok = check(*serialize.payload_maps(payload, keys))
         return ok, {"samples": 1, "failures": 0 if ok else 1}
+    if args.samples < 1:
+        raise InputError(f"--samples must be at least 1, got {args.samples}")
     rng = Random(args.seed)
     failures = 0
     for i in range(args.samples):
@@ -253,10 +255,11 @@ def cmd_verify(args) -> int:
         "version": serialize.SCHEMA_VERSION,
         "kind": "verification",
         "check": args.check,
-        "seed": args.seed,
         "passed": passed,
         "detail": detail,
     }
+    if payload is None:  # only comm-supp and phi-supp run without --input: they drew samples
+        doc["seed"] = args.seed
     lines = [f"{args.check}: {'pass' if passed else 'FAIL'} {detail}"]
     _emit(args, doc, lines)
     return EXIT_OK if passed else EXIT_FAILED

@@ -259,9 +259,8 @@ class SmoothabilityVerdict:
     circle_class: str
 
     def __post_init__(self):
-        assert self.c1
-        assert self.c_infinity == self.c1bv
-        assert not self.c_omega or self.c_infinity
+        if not self.c1 or self.c_infinity != self.c1bv or (self.c_omega and not self.c_infinity):
+            raise AssertionError(f"inconsistent smoothability verdict: {self}")
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 Both kinds store one period of a lift: breakpoints on [0,1] with
 F(1) = F(0)+1.  A circle map is normalized so F(0) lies in [0,1); an interval
 map is the lift pinned at F(0) = 0.  One kernel serves both: composition is
-a single merge sweep over the two breakpoint lists, and inversion swaps the
-pairs and rotates the period back onto [0,1].  All arithmetic is rational;
-equality of maps is equality of canonical breakpoint lists.
+a single merge sweep over the two breakpoint lists, run on integer
+numerators and denominators, and inversion swaps the pairs and rotates the
+period back onto [0,1].  All arithmetic is rational; equality of maps is
+equality of canonical breakpoint lists.
 """
 
 from __future__ import annotations
@@ -67,6 +68,45 @@ def _slopes(points) -> list[Fraction]:
     ]
 
 
+def _lerp(an, ad, bn, bd, cn, cd, dn, dd, tn, td):
+    """b + (d - b)(t - a)/(c - a) in lowest terms, for a < c; each value is n/d, d > 0."""
+    p = (tn * ad - an * td) * cd
+    q = td * (cn * ad - an * cd)
+    num = bn * dd * q + (dn * bd - bn * dd) * p
+    den = bd * dd * q
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _sweep(fq, gq):
+    """`_compose_lifts` on (xn, xd, yn, yd) quads in lowest terms, xd, yd > 0."""
+    # comparisons cross-multiply; only `_lerp`'s coordinates are new, so only they need a gcd
+    k = gq[0][2] // gq[0][3]
+    fb = [(xn + k * xd, xd, yn + k * yd, yd) for xn, xd, yn, yd in fq[:-1]]
+    k += 1
+    fb += [(xn + k * xd, xd, yn + k * yd, yd) for xn, xd, yn, yd in fq]
+    out = []
+    j = 0  # fb[j] is F's last breakpoint at or below the current value of G
+    for (xn0, xd0, yn0, yd0), (xn1, xd1, yn1, yd1) in zip(gq, gq[1:]):
+        while fb[j + 1][0] * yd0 <= yn0 * fb[j + 1][1]:
+            j += 1
+        un, ud, vn, vd = fb[j]
+        if un != yn0 or ud != yd0:
+            vn, vd = _lerp(*fb[j], *fb[j + 1], yn0, yd0)
+        out.append((xn0, xd0, vn, vd))
+        while fb[j + 1][0] * yd1 < yn1 * fb[j + 1][1]:
+            j += 1
+            un, ud, vn, vd = fb[j]
+            out.append(_lerp(yn0, yd0, xn0, xd0, yn1, yd1, xn1, xd1, un, ud) + (vn, vd))
+    vn, vd = out[0][2:]
+    out.append(gq[-1][:2] + (vn + vd, vd))
+    return out
+
+
+def _quads(pts):
+    return [(x.numerator, x.denominator, y.numerator, y.denominator) for x, y in pts]
+
+
 def _compose_lifts(fpts, gpts) -> list[tuple[Fraction, Fraction]]:
     """Breakpoints of the lift x -> F(G(x)) over [0, 1].
 
@@ -75,22 +115,8 @@ def _compose_lifts(fpts, gpts) -> list[tuple[Fraction, Fraction]]:
     [0, 1] onto [g0, g0+1], which F's breakpoints shifted by floor(g0) and
     floor(g0)+1 cover, so one pointer walks them alongside G's segments.
     """
-    k = math.floor(gpts[0][1])
-    fb = [(x + k, y + k) for x, y in fpts[:-1]]
-    fb += [(x + k + 1, y + k + 1) for x, y in fpts]
-    out = []
-    j = 0  # fb[j] is F's last breakpoint at or below the current value of G
-    for (x0, y0), (x1, y1) in zip(gpts, gpts[1:]):
-        while fb[j + 1][0] <= y0:
-            j += 1
-        (u0, v0), (u1, v1) = fb[j], fb[j + 1]
-        out.append((x0, v0 if u0 == y0 else v0 + (v1 - v0) * (y0 - u0) / (u1 - u0)))
-        while fb[j + 1][0] < y1:
-            j += 1
-            u, v = fb[j]
-            out.append((x0 + (x1 - x0) * (u - y0) / (y1 - y0), v))
-    out.append((gpts[-1][0], out[0][1] + 1))
-    return out
+    out = _sweep(_quads(fpts), _quads(gpts))
+    return [(Fraction(xn, xd), Fraction(yn, yd)) for xn, xd, yn, yd in out]
 
 
 def _invert_lift(pts) -> list[tuple[Fraction, Fraction]]:
@@ -287,17 +313,19 @@ def rotation_number(f: PLMapCircle, q_max: int = 64) -> RotationResult:
     """
     if q_max < 1:
         raise ValueError("q_max must be at least 1")
-    pts = list(f.points)
+    fq = pts = _quads(f.points)
     for q in range(1, q_max + 1):
         if q > 1:
-            pts = _compose_lifts(f.points, pts)
-        diffs = [y - x for x, y in pts]
-        lo, hi = min(diffs), max(diffs)
-        hits = list(range(math.ceil(lo), math.floor(hi) + 1))
-        if hits:
-            assert len(hits) == 1, "lift displacement spans two integers"
-            v = Fraction(hits[0], q)
+            pts = _sweep(fq, pts)
+        # floor and ceiling are monotone, so the integers in [min, max] of the
+        # displacements y - x run from the least ceiling to the greatest floor
+        dis = [(yn * xd - xn * yd, xd * yd) for xn, xd, yn, yd in pts]
+        lo = min(-(-n // d) for n, d in dis)
+        hi = max(n // d for n, d in dis)
+        if lo < hi:
+            raise AssertionError("lift displacement spans two integers")
+        if lo == hi:
+            v = Fraction(lo, q)
             return RotationResult("exact", value=v - math.floor(v))
-    f0 = pts[0][1]
-    n = q_max
-    return RotationResult("bounds", lo=(f0 - 1) / n, hi=(f0 + 1) / n)
+    f0 = Fraction(pts[0][2], pts[0][3])
+    return RotationResult("bounds", lo=(f0 - 1) / q_max, hi=(f0 + 1) / q_max)

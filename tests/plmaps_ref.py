@@ -1,0 +1,65 @@
+"""Reference PL kernel pieces, written on Fraction the plain way.
+
+`compose_lifts` and `rotation_number` are the Fraction merge sweep and the
+F^q loop that raagdyn.plmaps replaced with a sweep over integer numerators
+and denominators.  Tests compare the integer code against them for exact
+equality: the same breakpoints in the same order, the same rotation result.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from raagdyn.plmaps import RotationResult
+
+
+def compose_lifts(fpts, gpts) -> list[tuple[Fraction, Fraction]]:
+    """Breakpoints of the lift x -> F(G(x)) over [0, 1]; neither lift need be normalized."""
+    k = math.floor(gpts[0][1])
+    fb = [(x + k, y + k) for x, y in fpts[:-1]]
+    fb += [(x + k + 1, y + k + 1) for x, y in fpts]
+    out = []
+    j = 0  # fb[j] is F's last breakpoint at or below the current value of G
+    for (x0, y0), (x1, y1) in zip(gpts, gpts[1:]):
+        while fb[j + 1][0] <= y0:
+            j += 1
+        (u0, v0), (u1, v1) = fb[j], fb[j + 1]
+        out.append((x0, v0 if u0 == y0 else v0 + (v1 - v0) * (y0 - u0) / (u1 - u0)))
+        while fb[j + 1][0] < y1:
+            j += 1
+            u, v = fb[j]
+            out.append((x0 + (x1 - x0) * (u - y0) / (y1 - y0), v))
+    out.append((gpts[-1][0], out[0][1] + 1))
+    return out
+
+
+def rotation_number(f, q_max: int = 64) -> RotationResult:
+    """Exact p/q from the first F^q with F^q(x) = x + p solvable, else bounds at q_max."""
+    pts = list(f.points)
+    for q in range(1, q_max + 1):
+        if q > 1:
+            pts = compose_lifts(f.points, pts)
+        diffs = [y - x for x, y in pts]
+        hits = list(range(math.ceil(min(diffs)), math.floor(max(diffs)) + 1))
+        if hits:
+            if len(hits) != 1:
+                raise AssertionError("lift displacement spans two integers")
+            v = Fraction(hits[0], q)
+            return RotationResult("exact", value=v - math.floor(v))
+    f0 = pts[0][1]
+    return RotationResult("bounds", lo=(f0 - 1) / q_max, hi=(f0 + 1) / q_max)
+
+
+def periodic_points(rng, p: int, q: int) -> list[tuple[Fraction, Fraction]]:
+    """Circle lift cycling q marked points by p steps, linear between them.
+
+    F^q moves every marked point by p and is linear on each gap, so
+    F^q(x) = x + p: the rotation number is p/q by construction.
+    """
+    zs = [Fraction(0)] + [Fraction(k, 4 * q) for k in sorted(rng.sample(range(1, 4 * q), q - 1))]
+
+    def z(i):
+        return zs[i % q] + i // q
+
+    return [(zs[i], z(i + p)) for i in range(q)] + [(Fraction(1), z(q + p))]

@@ -95,6 +95,7 @@ class TestRealizeAndVerify:
         assert rc == 0
         rc = main(["verify", "action", "--input", str(bundle), "--output", str(tmp_path / "v")])
         assert rc == 0
+        assert "seed" not in json.loads((tmp_path / "v").read_text())  # it drew no sample
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_realize_past_int_str_digit_limit(self, tmp_path, fmt):
@@ -144,7 +145,14 @@ class TestRealizeAndVerify:
         assert rc1 == rc2 == 0
         assert text1 == text2
         doc = json.loads(text1)
-        assert doc["passed"] and doc["detail"]["samples"] == 25
+        assert doc["passed"] and doc["detail"]["samples"] == 25 and doc["seed"] == 42
+
+    @pytest.mark.parametrize("check", ["comm-supp", "phi-supp"])
+    @pytest.mark.parametrize("samples", ["-3", "0"])
+    def test_verify_samples_below_one_exits_2(self, tmp_path, capsys, check, samples):
+        rc, text = run(tmp_path, "verify", check, "--samples", samples)
+        assert rc == 2 and text == ""
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "InputError"
 
     def test_verify_comm_supp_thousand_samples(self, tmp_path):
         rc, text = run(tmp_path, "verify", "comm-supp", "--seed", "42", "--samples", "1000")

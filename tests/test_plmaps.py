@@ -1,3 +1,4 @@
+import functools
 import hashlib
 from fractions import Fraction
 from random import Random
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import plmaps_ref as ref
 from raagdyn.intervals import IntervalSet
 from raagdyn.plmaps import (
     DomainMismatchError,
@@ -385,6 +387,71 @@ class TestRotationNumber:
     def test_qmax_validation(self):
         with pytest.raises(ValueError):
             rotation_number(PLMapCircle.identity(), q_max=0)
+
+
+@functools.cache
+def _deep_iterates():
+    """(kind, unnormalized F^64 lift) for maps whose 64th iterates pass 300-bit denominators."""
+    maps = [random_interval_map(Random(seed), max_breaks=3, pin_prob=0) for seed in (5, 7)]
+    maps += [random_circle_map(Random(seed), max_breaks=3) for seed in (7, 33)]
+    out = []
+    for f in maps:
+        pts = f.points
+        for _ in range(63):
+            pts = ref.compose_lifts(f.points, pts)
+        out.append((type(f), pts))
+    return out
+
+
+class TestAgainstFractionReference:
+    """The integer sweep gives the Fraction sweep's breakpoints and rotation results exactly."""
+
+    @DOMAINS
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), p=st.integers(1, 5), q=st.integers(1, 5))
+    def test_compose_lifts_on_unnormalized_iterates(self, maps, ev, data, p, q):
+        f, g = data.draw(maps()), data.draw(maps())
+        fpts, gpts = f.points, g.points
+        for _ in range(p - 1):
+            fpts = ref.compose_lifts(f.points, fpts)
+        for _ in range(q - 1):
+            gpts = ref.compose_lifts(g.points, gpts)
+        assert _compose_lifts(fpts, gpts) == ref.compose_lifts(fpts, gpts)
+
+    def test_deep_iterates_are_deep(self):
+        for _, pts in _deep_iterates():
+            assert max(max(x.denominator, y.denominator) for x, y in pts).bit_length() >= 300
+        assert max(pts[0][1] for _, pts in _deep_iterates()) > 36  # G(0) past 1 as well
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_compose_lifts_on_deep_iterates(self, data):
+        kind, big = data.draw(st.sampled_from(_deep_iterates()))
+        f = data.draw(interval_maps() if kind is PLMapInterval else circle_maps())
+        for a, b in ((f.points, big), (big, f.points), (big, big)):
+            assert _compose_lifts(a, b) == ref.compose_lifts(a, b)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32), q=st.integers(1, 12), q_max=st.integers(1, 12))
+    def test_rotation_on_periodic_maps(self, seed, q, q_max):
+        rng = Random(seed)
+        f = PLMapCircle.from_points(ref.periodic_points(rng, rng.randrange(q), q))
+        assert rotation_number(f, q_max) == ref.rotation_number(f, q_max)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32))
+    def test_rotation_on_67_point_periodic_maps(self, seed):
+        rng = Random(seed)
+        f = PLMapCircle.from_points(ref.periodic_points(rng, rng.randrange(1, 67), 67))
+        res = rotation_number(f, 64)
+        assert not res.is_exact()
+        assert res == ref.rotation_number(f, 64)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), grounded=st.booleans(), q_max=st.integers(1, 64))
+    def test_rotation_on_random_circle_maps(self, seed, grounded, q_max):
+        f = random_circle_map(Random(seed), grounded=grounded)
+        assert rotation_number(f, q_max) == ref.rotation_number(f, q_max)
 
 
 class TestRandomMapStreams:
