@@ -22,17 +22,21 @@ from .checks import (
     check_phi_support,
     check_two_jumps_prefix,
 )
-from .cotree import NotApplicableError, classify, witness
+from .cotree import EmptyGraphError, NotApplicableError, classify, witness
 from .graphs import GraphError, load_graph
 from .lamplighter import IdentityInputError, lamplighter_certificate
-from .plmaps import DomainMismatchError, PLMapCircle, rotation_number
+from .plmaps import DomainMismatchError, PLMapCircle, PLMapInterval, rotation_number
 from .randmaps import random_pair, random_phi_triple
-from .serialize import dumps_doc, frac_to_str
-from .words import TrivialWordError, parse_word
+from .serialize import PayloadError, dumps_doc, frac_to_str
+from .words import TrivialWordError, WordParseError, parse_word
 
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_INPUT = 2
+
+# what `verify` draws when it draws samples and --seed or --samples is omitted
+DEFAULT_SEED = 0
+DEFAULT_SAMPLES = 100
 
 
 class InputError(ValueError):
@@ -45,6 +49,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as e:
         raise InputError(f"cannot read {path}: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise InputError(f"cannot read {path}: not UTF-8 text ({e.reason})") from e
 
 
 def _write_output(args, text: str):
@@ -58,7 +64,7 @@ def _write_output(args, text: str):
 def _load_json(path: str) -> dict:
     try:
         doc = json.loads(_read(path))
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer past the int-to-str digit limit
         raise InputError(f"{path}: invalid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise InputError(f"{path}: the top-level JSON value must be an object")
@@ -125,7 +131,7 @@ def cmd_realize(args) -> int:
             continue
         try:
             w = parse_word(line)
-        except ValueError as e:
+        except WordParseError as e:
             raise InputError(f"line {lineno}: {e}") from e
         if w.is_identity():
             raise InputError(f"line {lineno}: word {line!r} reduces to the identity")
@@ -193,6 +199,8 @@ def _verify_two_jumps(args, payload):
         payload, "triples", lambda t: isinstance(t, list) and len(t) == 3, "[s, t, y] lists"
     )
     triples = [tuple(map(serialize.str_to_frac, t)) for t in triples]
+    if isinstance(f, PLMapInterval) and not all(0 <= v <= 1 for t in triples for v in t):
+        raise PayloadError("'triples' on the interval need values in [0, 1]")
     report = check_two_jumps_prefix(TwoJumpsData.of(f, g, triples))
     detail = {
         "valid": report.valid,
@@ -206,6 +214,8 @@ def _verify_lamplighter(args, payload):
     if payload is None:
         raise InputError("lamplighter check needs --input with maps g, u")
     g, u = serialize.payload_maps(payload, "gu")
+    if not (isinstance(g, PLMapInterval) and isinstance(u, PLMapInterval)):
+        raise PayloadError("lamplighter check needs interval maps g, u (domain I)")
     cert = lamplighter_certificate(g, u)
     if cert is None:
         return False, {"certified": False}
@@ -221,11 +231,16 @@ def _verify_action(args, payload):
     if payload is None:
         raise InputError("action check needs --input with an action bundle")
     asg = serialize.obj_to_assignment(payload)
-    asg.validate()
+    try:
+        asg.validate()
+    except ValueError as e:  # a and b do not commute, or their supports meet
+        raise PayloadError(f"action bundle: {e}") from e
     words = [parse_word(s) for s in serialize.payload_list(payload, "words")]
     witnesses = [serialize.str_to_frac(s) for s in serialize.payload_list(payload, "witnesses")]
     if not witnesses:
         witnesses = [asg.basepoint] * len(words)
+    if not all(0 <= x <= 1 for x in witnesses):
+        raise PayloadError("witness points and 'x0' must lie in [0, 1]")
     moved, stuck = [], []
     for w, x in zip(words, witnesses):
         y = evaluate_word_at(asg, w, x)
@@ -233,6 +248,8 @@ def _verify_action(args, payload):
     detail = {"words": len(words), "moved": len(moved), "stuck": len(stuck)}
     return not stuck, detail
 
+
+_SAMPLED_CHECKS = ("comm-supp", "phi-supp")
 
 _CHECKS = {
     "comm-supp": _verify_comm_supp,
@@ -250,6 +267,14 @@ def cmd_verify(args) -> int:
             f"unknown check {args.check!r}; choose from {sorted(_CHECKS)}"
         )
     payload = _load_json(args.input) if args.input else None
+    draws = payload is None and args.check in _SAMPLED_CHECKS
+    if draws:
+        args.seed = DEFAULT_SEED if args.seed is None else args.seed
+        args.samples = DEFAULT_SAMPLES if args.samples is None else args.samples
+    elif args.seed is not None or args.samples is not None:
+        raise InputError(
+            f"--seed and --samples apply only to {' and '.join(_SAMPLED_CHECKS)} without --input"
+        )
     passed, detail = _CHECKS[args.check](args, payload)
     doc = {
         "version": serialize.SCHEMA_VERSION,
@@ -258,7 +283,7 @@ def cmd_verify(args) -> int:
         "passed": passed,
         "detail": detail,
     }
-    if payload is None:  # only comm-supp and phi-supp run without --input: they drew samples
+    if draws:
         doc["seed"] = args.seed
     lines = [f"{args.check}: {'pass' if passed else 'FAIL'} {detail}"]
     _emit(args, doc, lines)
@@ -267,6 +292,8 @@ def cmd_verify(args) -> int:
 
 def cmd_rot(args) -> int:
     _require_input(args)
+    if args.qmax < 1:
+        raise InputError(f"--qmax must be at least 1, got {args.qmax}")
     payload = _load_json(args.input)
     m = serialize.payload_maps(payload, "f")[0] if "maps" in payload else serialize.obj_to_map(payload)
     if not isinstance(m, PLMapCircle):
@@ -309,21 +336,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qmax", type=int, default=64)
     p = add("verify", cmd_verify, "run a named checker")
     p.add_argument("check", help="one of: " + ", ".join(sorted(_CHECKS)))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=100)
+    sampled = "only for comm-supp and phi-supp without --input"
+    p.add_argument("--seed", type=int, help=f"seed of the drawn samples (default {DEFAULT_SEED}); {sampled}")
+    p.add_argument("--samples", type=int, help=f"samples to draw (default {DEFAULT_SAMPLES}); {sampled}")
     return parser
 
 
+# the package's own input-error types; any other exception is a bug and
+# leaves with its traceback
 _INPUT_ERRORS = (
     InputError,
+    PayloadError,
     GraphError,
+    EmptyGraphError,
+    WordParseError,
     TrivialWordError,
     HypothesisViolatedError,
     IdentityInputError,
     NotApplicableError,
     DomainMismatchError,
-    KeyError,
-    ValueError,
 )
 
 

@@ -9,6 +9,7 @@ bottom implement wrapping, closure, and complement with the 0 ~ 1 gluing.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,17 +18,18 @@ from typing import Callable, Iterable, Optional
 Part = tuple[Fraction, bool, Fraction, bool]  # (a, a_closed, b, b_closed)
 
 
-def _normalize(parts: Iterable[Part]) -> tuple[Part, ...]:
-    kept = []
-    for a, ac, b, bc in parts:
-        if a > b:
-            continue
-        if a == b and not (ac and bc):
-            continue
-        kept.append((a, ac, b, bc))
-    kept.sort(key=lambda p: (p[0], not p[1]))
+def _nonempty(parts: Iterable[Part]) -> list[Part]:
+    return [p for p in parts if p[0] < p[2] or (p[0] == p[2] and p[1] and p[3])]
+
+
+def _start(p: Part):
+    return (p[0], not p[1])
+
+
+def _coalesce(parts: Iterable[Part]) -> tuple[Part, ...]:
+    """Merge overlapping or touching neighbours of nonempty parts sorted by `_start`."""
     merged: list[Part] = []
-    for a, ac, b, bc in kept:
+    for a, ac, b, bc in parts:
         if merged:
             pa, pac, pb, pbc = merged[-1]
             if a < pb or (a == pb and (ac or pbc)):
@@ -44,7 +46,7 @@ class IntervalSet:
 
     @staticmethod
     def of(parts: Iterable[Part]) -> "IntervalSet":
-        return IntervalSet(_normalize(parts))
+        return IntervalSet(_coalesce(sorted(_nonempty(parts), key=_start)))
 
     @staticmethod
     def empty() -> "IntervalSet":
@@ -81,28 +83,37 @@ class IntervalSet:
         return (self.parts[0][0], self.parts[-1][2])
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet.of(self.parts + other.parts)
+        return IntervalSet(_coalesce(heapq.merge(self.parts, other.parts, key=_start)))
 
     def intersection(self, other: "IntervalSet") -> "IntervalSet":
+        # both part lists are sorted and pairwise separated, so one pass over
+        # them meets every overlapping pair, and the overlaps come out sorted
+        # and still separated
         out = []
-        for a, ac, b, bc in self.parts:
-            for a2, ac2, b2, bc2 in other.parts:
-                if a2 > b or a > b2:
-                    continue
-                if a > a2:
-                    na, nac = a, ac
-                elif a2 > a:
-                    na, nac = a2, ac2
-                else:
-                    na, nac = a, ac and ac2
-                if b < b2:
-                    nb, nbc = b, bc
-                elif b2 < b:
-                    nb, nbc = b2, bc2
-                else:
-                    nb, nbc = b, bc and bc2
+        ps, qs = self.parts, other.parts
+        i = j = 0
+        while i < len(ps) and j < len(qs):
+            a, ac, b, bc = ps[i]
+            a2, ac2, b2, bc2 = qs[j]
+            if a > a2:
+                na, nac = a, ac
+            elif a2 > a:
+                na, nac = a2, ac2
+            else:
+                na, nac = a, ac and ac2
+            if b < b2:
+                nb, nbc = b, bc
+                i += 1
+            elif b2 < b:
+                nb, nbc = b2, bc2
+                j += 1
+            else:
+                nb, nbc = b, bc and bc2
+                i += 1
+                j += 1
+            if na < nb or (na == nb and nac and nbc):
                 out.append((na, nac, nb, nbc))
-        return IntervalSet.of(out)
+        return IntervalSet(tuple(out))
 
     def complement(self, lo, hi) -> "IntervalSet":
         """Complement within the ambient closed interval [lo, hi]."""
@@ -114,7 +125,7 @@ class IntervalSet:
             gaps.append((cur, cur_closed, a, not ac))
             cur, cur_closed = b, not bc
         gaps.append((cur, cur_closed, hi, True))
-        return IntervalSet.of(gaps)
+        return IntervalSet(tuple(_nonempty(gaps)))
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
         if not self.parts:
@@ -127,7 +138,7 @@ class IntervalSet:
         return self.difference(other).is_empty()
 
     def closure(self) -> "IntervalSet":
-        return IntervalSet.of([(a, True, b, True) for a, ac, b, bc in self.parts])
+        return IntervalSet(_coalesce((a, True, b, True) for a, ac, b, bc in self.parts))
 
     def shift(self, k) -> "IntervalSet":
         k = Fraction(k)

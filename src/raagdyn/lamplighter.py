@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .intervals import IntervalSet
-from .plmaps import PLMapInterval, commutator, compose, invert, power
+from .plmaps import PLMapInterval, commutator, compose, invert
 
 
 class IdentityInputError(ValueError):
@@ -56,14 +56,17 @@ def lamplighter_certificate(
     if not _never_moves_left_from(u, lo):
         return None
 
-    uj = PLMapInterval.identity()
+    # conj = u^j g u^-j is built one conjugation at a time: it stays supported
+    # on u^j(K), while u^j itself gains breakpoints as j grows
+    u_inv = invert(u)
+    conj = g
+    image_lo = lo
     for j in range(1, j_checked + 1):
-        uj = compose(uj, u)
-        image_lo = uj.evaluate(lo)
+        image_lo = u.evaluate(image_lo)
         if image_lo <= hi:
             raise AssertionError(f"certificate conditions violated at j={j}")
-        conj = compose(compose(uj, g), invert(uj))
-        if not commutator(g, conj).is_identity():
+        conj = compose(compose(u, conj), u_inv)
+        if compose(g, conj) != compose(conj, g):
             raise AssertionError(f"commutation [g, u^{j} g u^-{j}] failed")
     return LamplighterCertificate(g, u, hull, j_checked)
 
@@ -108,4 +111,7 @@ def recursive_commutator_chain(
 def certified_pair_disjointness(cert: LamplighterCertificate, j: int) -> bool:
     """Exact check that u^j maps the hull K of supp g off of K."""
     lo, hi = cert.hull
-    return power(cert.u, j).evaluate(lo) > hi
+    step = cert.u.evaluate if j >= 0 else cert.u.evaluate_inverse
+    for _ in range(abs(j)):
+        lo = step(lo)
+    return lo > hi

@@ -107,6 +107,14 @@ def _quads(pts):
     return [(x.numerator, x.denominator, y.numerator, y.denominator) for x, y in pts]
 
 
+def _displacements(quads):
+    """Displacements y - x as (n, d) pairs, d > 0, and the least and greatest integer between them."""
+    dis = [(yn * xd - xn * yd, xd * yd) for xn, xd, yn, yd in quads]
+    # floor and ceiling are monotone, so the integers in [min, max] of the
+    # displacements run from the least ceiling to the greatest floor
+    return dis, min(-(-n // d) for n, d in dis), max(n // d for n, d in dis)
+
+
 def _compose_lifts(fpts, gpts) -> list[tuple[Fraction, Fraction]]:
     """Breakpoints of the lift x -> F(G(x)) over [0, 1].
 
@@ -179,20 +187,23 @@ class PLMap:
     def fixed_set(self) -> IntervalSet:
         """Exact solutions in [0, 1] of F(x) = x + m over the integers m reached."""
         pts = self.points
-        diffs = [y - x for x, y in pts]
+        quads = _quads(pts)
+        dis, lo, hi = _displacements(quads)
         parts = []
-        for m in range(math.ceil(min(diffs)), math.floor(max(diffs)) + 1):
-            for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-                d0, d1 = y0 - x0 - m, y1 - x1 - m
-                if d0 == 0 and d1 == 0:
-                    parts.append((x0, True, x1, True))
-                elif d0 == 0:
-                    parts.append((x0, True, x0, True))
-                elif d1 == 0:
-                    parts.append((x1, True, x1, True))
-                elif (d0 < 0) != (d1 < 0):
-                    s = (y1 - y0) / (x1 - x0)
-                    root = (y0 - m - s * x0) / (1 - s)
+        for m in range(lo, hi + 1):
+            sign = [n - m * d for n, d in dis]  # sign of F(x) - x - m at each breakpoint
+            for i in range(len(pts) - 1):
+                s0, s1 = sign[i], sign[i + 1]
+                if s0 == 0 and s1 == 0:
+                    parts.append((pts[i][0], True, pts[i + 1][0], True))
+                elif s0 == 0:
+                    parts.append((pts[i][0], True, pts[i][0], True))
+                elif s1 == 0:
+                    parts.append((pts[i + 1][0], True, pts[i + 1][0], True))
+                elif (s0 < 0) != (s1 < 0):
+                    # the root is where the displacement, linear in x, reaches m
+                    k, l = (i, i + 1) if s0 < 0 else (i + 1, i)
+                    root = Fraction(*_lerp(*dis[k], *quads[k][:2], *dis[l], *quads[l][:2], m, 1))
                     parts.append((root, True, root, True))
         return IntervalSet.of(parts)
 
@@ -317,11 +328,7 @@ def rotation_number(f: PLMapCircle, q_max: int = 64) -> RotationResult:
     for q in range(1, q_max + 1):
         if q > 1:
             pts = _sweep(fq, pts)
-        # floor and ceiling are monotone, so the integers in [min, max] of the
-        # displacements y - x run from the least ceiling to the greatest floor
-        dis = [(yn * xd - xn * yd, xd * yd) for xn, xd, yn, yd in pts]
-        lo = min(-(-n // d) for n, d in dis)
-        hi = max(n // d for n, d in dis)
+        _, lo, hi = _displacements(pts)
         if lo < hi:
             raise AssertionError("lift displacement spans two integers")
         if lo == hi:

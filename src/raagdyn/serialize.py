@@ -58,11 +58,17 @@ def obj_to_map(obj: dict) -> PLMap:
     ):
         raise PayloadError("a map needs an object whose 'points' is a list of [x, y] pairs")
     pts = [(str_to_frac(x), str_to_frac(y)) for x, y in pts]
-    if obj["domain"] == "S1":
-        return PLMapCircle.from_points(pts)
-    if obj["domain"] == "I":
-        return PLMapInterval.from_points(pts)
-    raise ValueError(f"unknown domain {obj['domain']!r}")
+    domain = obj.get("domain")
+    if domain == "S1":
+        kind = PLMapCircle
+    elif domain == "I":
+        kind = PLMapInterval
+    else:
+        raise PayloadError(f"a map's 'domain' must be 'I' or 'S1', got {domain!r}")
+    try:
+        return kind.from_points(pts)
+    except ValueError as e:  # the points are not one period of an increasing lift
+        raise PayloadError(f"{domain} map: {e}") from e
 
 
 def payload_maps(payload: dict, keys) -> list[PLMap]:
@@ -109,7 +115,9 @@ def assignment_to_obj(asg: ActionAssignment) -> dict:
 
 def obj_to_assignment(obj: dict) -> ActionAssignment:
     a, b, t = payload_maps(obj, "abt")
-    return ActionAssignment(a=a, b=b, t=t, basepoint=str_to_frac(obj["x0"]))
+    if not all(isinstance(m, PLMapInterval) for m in (a, b, t)):
+        raise PayloadError("an action's maps a, b, t must be interval maps (domain I)")
+    return ActionAssignment(a=a, b=b, t=t, basepoint=str_to_frac(obj.get("x0")))
 
 
 def faithful_to_obj(fa: FaithfulAction) -> dict:

@@ -21,6 +21,10 @@ class TrivialWordError(ValueError):
     pass
 
 
+class WordParseError(ValueError):
+    """Text that `parse_word` cannot read as a word."""
+
+
 def _is_zero(s: Syllable) -> bool:
     return all(e == 0 for e in s[1:])
 
@@ -104,8 +108,12 @@ def parse_word(text: str) -> FreeProductWord:
     for token in text.split():
         m = _TOKEN.match(token)
         if m is None:
-            raise ValueError(f"cannot parse token {token!r}")
-        gen, exp = m.group(1), int(m.group(2) or 1)
+            raise WordParseError(f"cannot parse token {token!r}")
+        gen = m.group(1)
+        try:
+            exp = int(m.group(2) or 1)
+        except ValueError as e:  # more digits than the interpreter's int-to-str limit
+            raise WordParseError(f"exponent too long in token {token[:20]!r}...") from e
         if gen == "a":
             syllables.append((AB, exp, 0))
         elif gen == "b":

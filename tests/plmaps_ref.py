@@ -1,9 +1,10 @@
 """Reference PL kernel pieces, written on Fraction the plain way.
 
-`compose_lifts` and `rotation_number` are the Fraction merge sweep and the
-F^q loop that raagdyn.plmaps replaced with a sweep over integer numerators
-and denominators.  Tests compare the integer code against them for exact
-equality: the same breakpoints in the same order, the same rotation result.
+`compose_lifts`, `rotation_number` and `fixed_set` are the Fraction merge
+sweep, the F^q loop and the sign analysis that raagdyn.plmaps replaced with
+integer numerators and denominators.  Tests compare the integer code against
+them for exact equality: the same breakpoints in the same order, the same
+rotation result, the same fixed-set parts.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from raagdyn.plmaps import RotationResult
+import intervals_ref
+from raagdyn.plmaps import PLMapCircle, RotationResult
 
 
 def compose_lifts(fpts, gpts) -> list[tuple[Fraction, Fraction]]:
@@ -49,6 +51,34 @@ def rotation_number(f, q_max: int = 64) -> RotationResult:
             return RotationResult("exact", value=v - math.floor(v))
     f0 = pts[0][1]
     return RotationResult("bounds", lo=(f0 - 1) / q_max, hi=(f0 + 1) / q_max)
+
+
+def fixed_set(f) -> tuple:
+    """Parts of the solutions of F(x) = x + m, on the circle reduced into [0, 1)."""
+    pts = f.points
+    diffs = [y - x for x, y in pts]
+    parts = []
+    for m in range(math.ceil(min(diffs)), math.floor(max(diffs)) + 1):
+        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+            d0, d1 = y0 - x0 - m, y1 - x1 - m
+            if d0 == 0 and d1 == 0:
+                parts.append((x0, True, x1, True))
+            elif d0 == 0:
+                parts.append((x0, True, x0, True))
+            elif d1 == 0:
+                parts.append((x1, True, x1, True))
+            elif (d0 < 0) != (d1 < 0):
+                s = (y1 - y0) / (x1 - x0)
+                root = (y0 - m - s * x0) / (1 - s)
+                parts.append((root, True, root, True))
+    parts = intervals_ref.normalize(parts)
+    return intervals_ref.unit_canon(parts) if isinstance(f, PLMapCircle) else parts
+
+
+def support(f) -> tuple:
+    if isinstance(f, PLMapCircle):
+        return intervals_ref.circle_complement(fixed_set(f))
+    return intervals_ref.complement(fixed_set(f), 0, 1)
 
 
 def periodic_points(rng, p: int, q: int) -> list[tuple[Fraction, Fraction]]:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import raagdyn.cli
 import raagdyn.cotree
 from cograph_ref import is_p3_plus_point, threshold_graph
 from raagdyn.cli import main
@@ -190,6 +191,9 @@ class TestRealizeAndVerify:
 _GOOD_S1 = {"domain": "S1", "points": [["0", "1/3"], ["1", "4/3"]]}
 _ID_I = {"domain": "I", "points": [["0", "0"], ["1", "1"]]}
 _ACTION = {"maps": {"a": _ID_I, "b": _ID_I, "t": _ID_I}, "x0": "1/2"}
+_UP_I = {"domain": "I", "points": [["0", "0"], ["1/4", "1/2"], ["1", "1"]]}
+_DOWN_I = {"domain": "I", "points": [["0", "0"], ["1/2", "1/4"], ["1", "1"]]}
+_BUMP_I = {"domain": "I", "points": [["0", "0"], ["1/8", "1/8"], ["3/16", "15/64"], ["1/4", "1/4"], ["1", "1"]]}
 
 
 @pytest.mark.parametrize(
@@ -205,10 +209,25 @@ _ACTION = {"maps": {"a": _ID_I, "b": _ID_I, "t": _ID_I}, "x0": "1/2"}
         (["verify", "action"], {**_ACTION, "words": [5]}),
         (["verify", "action"], {**_ACTION, "words": ["t"], "witnesses": [5]}),
         (["verify", "action"], {**_ACTION, "words": ["t"], "witnesses": ["2"]}),
+        (["rot"], {"domain": "S1", "points": [["0", "1/2"], ["1/2", "1/4"], ["1", "3/2"]]}),
+        (["rot"], {"domain": "X", "points": _GOOD_S1["points"]}),
+        (["rot"], {"points": _GOOD_S1["points"]}),
+        (["rot", "--qmax", "0"], _GOOD_S1),
+        (["verify", "action"], {**_ACTION, "words": ["t^x"]}),
+        (["verify", "action"], {**_ACTION, "words": ["a^" + "9" * 5000]}),
+        (["verify", "action"], {**_ACTION, "x0": "3", "words": ["t"]}),
+        (["verify", "action"], {"maps": _ACTION["maps"], "words": ["t"]}),
+        (["verify", "action"], {"maps": {"a": _UP_I, "b": _DOWN_I, "t": _ID_I}, "x0": "1/2"}),
+        (["verify", "action"], {"maps": {"a": _GOOD_S1, "b": _GOOD_S1, "t": _GOOD_S1}, "x0": "1/2"}),
+        (["verify", "two-jumps"], {"maps": {"f": _ID_I, "g": _ID_I}, "triples": [["2", "3", "5"]]}),
+        (["verify", "lamplighter"], {"maps": {"g": _BUMP_I, "u": _GOOD_S1}}),
     ],
     ids=[
         "points-int", "zero-den", "top-list", "null-map", "maps-list-rot",
         "maps-list-action", "triple-int", "word-int", "witness-int", "witness-outside",
+        "not-increasing", "domain-x", "no-domain", "qmax-0", "word-unparsed", "word-exp-digits",
+        "x0-outside", "x0-missing", "a-b-not-commuting", "action-on-circle",
+        "triple-outside", "lamplighter-on-circle",
     ],
 )
 def test_malformed_payload_exits_2(tmp_path, capsys, argv, payload):
@@ -217,6 +236,36 @@ def test_malformed_payload_exits_2(tmp_path, capsys, argv, payload):
     rc, _ = run(tmp_path, *argv, "--input", str(p))
     assert rc == 2
     assert "type" in json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        (["rot"], b"\xff\xfe not UTF-8"),
+        (["rot"], b'{"domain": "S1", "points": ' + b"1" * 5000 + b"}"),
+        (["classify"], b"# comments only: no vertex\n"),
+    ],
+    ids=["not-utf8", "json-int-digits", "empty-graph"],
+)
+def test_unusable_input_file_exits_2(tmp_path, capsys, argv, data):
+    p = tmp_path / "bad"
+    p.write_bytes(data)
+    rc, _ = run(tmp_path, *argv, "--input", str(p))
+    assert rc == 2
+    assert "type" in json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize("exc", [ValueError, KeyError])
+def test_internal_error_is_not_an_input_error(tmp_path, monkeypatch, exc):
+    """Only the package's input-error types exit 2; a bug leaves with its traceback."""
+    def broken(*args, **kwargs):
+        raise exc("internal fault")
+
+    monkeypatch.setattr(raagdyn.cli, "rotation_number", broken)
+    p = tmp_path / "rot.json"
+    p.write_text(json.dumps(_GOOD_S1))
+    with pytest.raises(exc, match="internal fault"):
+        main(["rot", "--input", str(p), "--output", str(tmp_path / "out")])
 
 
 class TestRot:
@@ -285,6 +334,29 @@ class TestOptionSurface:
             main(argv + ["--input", p4_file])
         assert e.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("check, payload", [
+        ("action", {**_ACTION, "words": ["t"]}),
+        ("comm-supp", {"maps": {"f": _ID_I, "g": _ID_I}}),
+        ("phi-supp", {"maps": {"b": _ID_I, "c": _ID_I, "d": _ID_I}}),
+        ("c1", {"maps": {"b": _ID_I, "c": _ID_I, "d": _ID_I}}),
+        ("lamplighter", {"maps": {"g": _BUMP_I, "u": _UP_I}}),
+    ])
+    @pytest.mark.parametrize("opts", [["--samples", "-3", "--seed", "9"], ["--seed", "0"], ["--samples", "100"]])
+    def test_sample_options_without_draws_exit_2(self, tmp_path, capsys, check, payload, opts):
+        p = tmp_path / "payload.json"
+        p.write_text(json.dumps(payload))
+        rc, text = run(tmp_path, "verify", check, "--input", str(p), *opts)
+        assert rc == 2 and text == ""
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "InputError"
+
+    @pytest.mark.parametrize("check", ["comm-supp", "phi-supp"])
+    def test_omitted_sample_options_draw_seed_0_and_100_samples(self, tmp_path, check):
+        rc, text = run(tmp_path, "verify", check)
+        rc0, text0 = run(tmp_path, "verify", check, "--seed", "0", "--samples", "100")
+        doc = json.loads(text)
+        assert rc == rc0 == 0 and text == text0
+        assert doc["seed"] == 0 and doc["detail"]["samples"] == 100
 
     def test_read_options_still_accepted(self, tmp_path):
         rc, text = run(tmp_path, "verify", "comm-supp", "--seed", "42", "--samples", "300")

@@ -4,6 +4,7 @@ from random import Random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import intervals_ref as ref
 from raagdyn.intervals import (
     FULL_CIRCLE,
     IntervalSet,
@@ -132,3 +133,46 @@ class TestCircle:
         s = unit_canon(random_set(rng))
         x = F(probe_num, 32)
         assert circle_complement(s).contains(x) == (not s.contains(x))
+
+
+# quarter points on [-1, 2]: parts share endpoints often, reach past [0, 1]
+# and cross the circle's seam
+_ENDS = st.sampled_from([F(k, 4) for k in range(-4, 9)])
+_RAW_PART = st.tuples(_ENDS, st.booleans(), _ENDS, st.booleans())
+_PART = _RAW_PART.map(lambda p: (min(p[0], p[2]), p[1], max(p[0], p[2]), p[3])) | _ENDS.map(
+    lambda x: (x, True, x, True)
+)
+_PARTS = st.lists(_PART, max_size=6)
+
+
+class TestAgainstReference:
+    """Linear merges against the double loop and the sort-based normalizer."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_RAW_PART, max_size=6))
+    def test_of_normalizes_like_reference(self, parts):
+        assert IntervalSet.of(parts).parts == ref.normalize(parts)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_PARTS, _PARTS)
+    def test_set_operations(self, p, q):
+        s, t = IntervalSet.of(p), IntervalSet.of(q)
+        sp, tp = s.parts, t.parts
+        assert s.union(t).parts == ref.union(sp, tp)
+        assert s.intersection(t).parts == ref.intersection(sp, tp)
+        assert s.intersection(s).parts == sp
+        for lo, hi in ((0, 1), (-1, 2), (F(1, 4), F(3, 4)), (F(1, 2), F(1, 2))):
+            assert s.complement(lo, hi).parts == ref.complement(sp, lo, hi)
+        assert s.difference(t).parts == ref.difference(sp, tp)
+        assert s.is_subset_of(t) == ref.is_subset_of(sp, tp)
+        assert t.is_subset_of(s) == ref.is_subset_of(tp, sp)
+        assert s.closure().parts == ref.closure(sp)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_PARTS)
+    def test_circle_operations(self, p):
+        s = IntervalSet.of(p)
+        c = unit_canon(s)
+        assert c.parts == ref.unit_canon(s.parts)
+        assert circle_closure(c).parts == ref.circle_closure(c.parts)
+        assert circle_complement(c).parts == ref.circle_complement(c.parts)

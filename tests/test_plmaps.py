@@ -403,8 +403,30 @@ def _deep_iterates():
     return out
 
 
+@st.composite
+def slope_one_maps(draw, circle):
+    """Lifts whose pieces often have slope 1, on or off the diagonal or an integer shift of it."""
+    d = 24
+    cuts = sorted(draw(st.lists(st.integers(1, d - 1), max_size=5, unique=True)))
+    xs = [0] + cuts + [d]
+    ones = [draw(st.booleans()) for _ in cuts + [d]]
+    free = [x1 - x0 for (x0, x1), one in zip(zip(xs, xs[1:]), ones) if not one]
+    weights = [draw(st.integers(1, 6)) for _ in free]
+    y = F(draw(st.integers(0, d - 1)), d) if circle else F(0)
+    pts = [(F(0), y)]
+    k = 0
+    for (x0, x1), one in zip(zip(xs, xs[1:]), ones):
+        if one:
+            y += F(x1 - x0, d)
+        else:
+            y += F(sum(free), d) * F(weights[k], sum(weights))
+            k += 1
+        pts.append((F(x1, d), y))
+    return (PLMapCircle if circle else PLMapInterval).from_points(pts)
+
+
 class TestAgainstFractionReference:
-    """The integer sweep gives the Fraction sweep's breakpoints and rotation results exactly."""
+    """Integer code gives the Fraction code's breakpoints, rotation results and fixed sets exactly."""
 
     @DOMAINS
     @settings(max_examples=150, deadline=None)
@@ -452,6 +474,35 @@ class TestAgainstFractionReference:
     def test_rotation_on_random_circle_maps(self, seed, grounded, q_max):
         f = random_circle_map(Random(seed), grounded=grounded)
         assert rotation_number(f, q_max) == ref.rotation_number(f, q_max)
+
+    @staticmethod
+    def assert_fixed_set_matches(f):
+        assert f.fixed_set().parts == ref.fixed_set(f)
+        assert f.support().parts == ref.support(f)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), circle=st.booleans(), n=st.integers(1, 3))
+    def test_fixed_set_on_slope_one_pieces(self, data, circle, n):
+        f = data.draw(slope_one_maps(circle))
+        self.assert_fixed_set_matches(power(f, n))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32), domain=st.sampled_from(["I", "S1"]))
+    def test_fixed_set_on_phi_maps_and_iterates(self, seed, domain):
+        rng = Random(seed)
+        f, g = random_pair(rng, domain)
+        b, c, d = random_phi_triple(rng, domain)
+        phi = commutator(c, compose(compose(b, d), invert(b)))
+        for m in (f, g, commutator(f, g), phi, power(phi, 2), power(f, 3)):
+            self.assert_fixed_set_matches(m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32), q=st.integers(1, 9))
+    def test_fixed_set_on_periodic_iterates(self, seed, q):
+        rng = Random(seed)
+        f = PLMapCircle.from_points(ref.periodic_points(rng, rng.randrange(q), q))
+        for n in (1, q, q + 1):  # f^q is an integer shift of the identity on the lift
+            self.assert_fixed_set_matches(power(f, n))
 
 
 class TestRandomMapStreams:
