@@ -111,11 +111,9 @@ def plan_separating_action(word: Union[FreeProductWord, str]) -> ActionPlan:
             t_bumps.append(_chain_bump(scale, c, s + 4, prev, s + 2, abs(r), r > 0))
             prev, c = s + 8, s + 6
 
-    plan = ActionPlan(scale, tuple(a_bumps), tuple(b_bumps), tuple(t_bumps), base, scale, std, conj)
-    if not conj.is_identity():
-        num, den = plan_apply_word(plan, conj, base, scale)
-        plan = ActionPlan(scale, plan.a_bumps, plan.b_bumps, plan.t_bumps, num, den, std, conj)
-    return plan
+    fams = {"a": tuple(a_bumps), "b": tuple(b_bumps), "t": tuple(t_bumps)}
+    num, den = (base, scale) if conj.is_identity() else _walk_bumps(fams, conj, base, scale)
+    return ActionPlan(scale, fams["a"], fams["b"], fams["t"], num, den, std, conj)
 
 
 def _act(word: FreeProductWord, x, power):
@@ -172,10 +170,14 @@ def _bumps_power(bumps, e: int, x: tuple[int, int]) -> tuple[int, int]:
     return x
 
 
+def _walk_bumps(fams: dict, word: FreeProductWord, num: int, den: int) -> tuple[int, int]:
+    """num/den under the word, with `fams` mapping "a", "b", "t" to their bump families."""
+    return _act(word, (num, den), lambda g, e, x: _bumps_power(fams[g], e, x))
+
+
 def plan_apply_word(plan: ActionPlan, word: FreeProductWord, num: int, den: int) -> tuple[int, int]:
     """Evaluate the word at num/den through the plan, rightmost syllable first."""
-    fams = {"a": plan.a_bumps, "b": plan.b_bumps, "t": plan.t_bumps}
-    return _act(word, (num, den), lambda g, e, x: _bumps_power(fams[g], e, x))
+    return _walk_bumps({"a": plan.a_bumps, "b": plan.b_bumps, "t": plan.t_bumps}, word, num, den)
 
 
 def plan_supports_disjoint(plan: ActionPlan) -> bool:

@@ -40,13 +40,16 @@ def check_commutator_support(f: PLMap, g: PLMap) -> bool:
     return lhs.is_subset_of(rhs)
 
 
-def _phi(b: PLMap, c: PLMap, d: PLMap) -> PLMap:
-    return commutator(c, compose(compose(b, d), invert(b)))
+def _phi(b: PLMap, b_inv: PLMap, c: PLMap, d: PLMap) -> PLMap:
+    return commutator(c, compose(compose(b, d), b_inv))
 
 
-def _check_cd_disjoint(c: PLMap, d: PLMap):
-    if not c.support().intersection(d.support()).is_empty():
+def _cd_supports(c: PLMap, d: PLMap) -> tuple[IntervalSet, IntervalSet]:
+    """supp c and supp d, which the phi checks require to be disjoint."""
+    sc, sd = c.support(), d.support()
+    if not sc.intersection(sd).is_empty():
         raise HypothesisViolatedError("supports of c and d intersect")
+    return sc, sd
 
 
 def check_phi_support(b: PLMap, c: PLMap, d: PLMap) -> bool:
@@ -55,13 +58,13 @@ def check_phi_support(b: PLMap, c: PLMap, d: PLMap) -> bool:
     Requires supp c and supp d disjoint; holds for all homeomorphisms.
     """
     require_same_domain(b, c, d)
-    _check_cd_disjoint(c, d)
-    sb, sc, sd = b.support(), c.support(), d.support()
-    phi = _phi(b, c, d)
+    sc, sd = _cd_supports(c, d)
+    sb, b_inv = b.support(), invert(b)
+    phi = _phi(b, b_inv, c, d)
     rhs = (
         sb
         .union(_image(compose(c, b), sb.intersection(sd)))
-        .union(_image(compose(d, invert(b)), sb.intersection(sc)))
+        .union(_image(compose(d, b_inv), sb.intersection(sc)))
     )
     return phi.support().is_subset_of(rhs)
 
@@ -79,10 +82,10 @@ def check_c1_containment(b: PLMap, c: PLMap, d: PLMap) -> C1ContainmentReport:
     offending set is returned rather than asserted away.
     """
     require_same_domain(b, c, d)
-    _check_cd_disjoint(c, d)
-    phi = _phi(b, c, d)
+    sc, sd = _cd_supports(c, d)
+    phi = _phi(b, invert(b), c, d)
     lhs = _closure(b, phi.support().difference(b.support()))
-    rhs = c.support().union(d.support())
+    rhs = sc.union(sd)
     violating = lhs.difference(rhs)
     return C1ContainmentReport(violating.is_empty(), violating)
 

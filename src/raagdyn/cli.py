@@ -8,6 +8,7 @@ seed every run byte-reproduces its output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from random import Random
@@ -55,15 +56,19 @@ def _read(path: str) -> str:
 
 def _write_output(args, text: str):
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise InputError(f"cannot write {args.output}: {e.strerror}") from e
     else:
         sys.stdout.write(text)
 
 
 def _load_json(path: str) -> dict:
+    text = _read(path)
     try:
-        doc = json.loads(_read(path))
+        doc = json.loads(text)
     except ValueError as e:  # a JSONDecodeError, or an integer past the int-to-str digit limit
         raise InputError(f"{path}: invalid JSON: {e}") from e
     if not isinstance(doc, dict):
@@ -313,6 +318,7 @@ def cmd_rot(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built on first use, once per process; parse_args still returns a fresh Namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="raagdyn",

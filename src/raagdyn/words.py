@@ -26,7 +26,7 @@ class WordParseError(ValueError):
 
 
 def _is_zero(s: Syllable) -> bool:
-    return all(e == 0 for e in s[1:])
+    return not s[1] and (s[0] == T or not s[2])
 
 
 def _merge(s1: Syllable, s2: Syllable) -> Syllable:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 from random import Random
@@ -234,3 +235,46 @@ class TestFaithfulOn:
         n = len(fa.words)
         for k, x in enumerate(fa.witnesses):
             assert F(k, n + 1) < x < F(k + 1, n + 1)
+
+
+def _c6_words(max_len):
+    """Criterion 6's reduced words: alternating syllables, exponents in [-2, 2]."""
+    ab_opts = [(AB, m, n) for m in range(-2, 3) for n in range(-2, 3) if (m, n) != (0, 0)]
+    t_opts = [(T, r) for r in range(-2, 3) if r]
+    for length in range(1, max_len + 1):
+        for start in (AB, T):
+            kinds = [AB if (i % 2 == 0) == (start == AB) else T for i in range(length)]
+            for combo in itertools.product(*[ab_opts if k == AB else t_opts for k in kinds]):
+                yield FreeProductWord(combo)
+
+
+def _plan_fields(plan) -> str:
+    """Every field of a plan as plain integers and syllable values, one line."""
+    def syllables(w):
+        return " ".join(".".join(map(str, s)) for s in w.syllables)
+
+    bumps = "/".join(
+        ",".join(f"{d}:{' '.join(map(str, xs))}:{' '.join(map(str, ys))}" for d, xs, ys in fam)
+        for fam in (plan.a_bumps, plan.b_bumps, plan.t_bumps)
+    )
+    return (f"{plan.scale}|{bumps}|{plan.base_num}/{plan.base_den}|"
+            f"{syllables(plan.standard)}|{syllables(plan.conjugator)}\n")
+
+
+class TestPlanPinned:
+    def test_plan_fields_are_pinned(self):
+        """Plans of every criterion-6 word of length <= 4 and of conjugated words stay the same."""
+        rng = Random(41)
+        words = list(_c6_words(4))
+        assert len(words) == 21340
+        words += [random_word(rng, 4, 40).conjugate_by(random_word(rng, 3, 9)) for _ in range(300)]
+        words += ["a^5 t a^5 t a^-5", "t^3 b^-7 a^2 t^-3", "b^40 t^-1 a^-40", "t^2 a t^-2", "a b^2 t a^-1"]
+        words += [FreeProductWord(((AB, 1, 0), (AB, 0, 1), (T, 0), (T, 2), (AB, -1, 0)))]
+        h = hashlib.sha256()
+        conjugated = 0
+        for w in words:
+            plan = plan_separating_action(w)
+            conjugated += not plan.conjugator.is_identity()
+            h.update(_plan_fields(plan).encode())
+        assert conjugated > len(words) // 2
+        assert h.hexdigest() == "faf60ca5cff460df3e83d3a7bd8d4616d186d8c7f706dc461c3d453664187390"

@@ -1,15 +1,25 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import raagdyn.cli
 import raagdyn.cotree
 from cograph_ref import is_p3_plus_point, threshold_graph
-from raagdyn.cli import main
+from raagdyn.cli import build_parser, main
 from raagdyn.graphs import format_edge_list
 from raagdyn.serialize import map_to_obj
 from raagdyn.plmaps import PLMapCircle
-from raagdyn.randmaps import random_interval_map
+from raagdyn.randmaps import random_circle_map, random_interval_map, random_phi_triple
+from raagdyn.actions import build_separating_action
+from test_actions import random_word
 from random import Random
 
 
@@ -365,3 +375,198 @@ class TestOptionSurface:
         p.write_text(json.dumps(map_to_obj(PLMapCircle.rotation("1/3"))))
         rc, text = run(tmp_path, "rot", "--input", str(p), "--qmax", "10", "--format", "text")
         assert rc == 0 and text == "1/3\n"
+
+
+class TestFileErrors:
+    """A path the CLI cannot read or write exits 2 with a JSON error naming it."""
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, where):
+        p = tmp_path / "rot.json"
+        p.write_text(json.dumps(_GOOD_S1))
+        out = tmp_path / "nope" / "out.json" if where == "missing-dir" else tmp_path
+        rc = main(["rot", "--input", str(p), "--output", str(out)])
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert rc == 2 and err["type"] == "InputError"
+        assert err["message"].startswith(f"cannot write {out}: ")
+
+    @pytest.mark.parametrize("argv", [["rot"], ["verify", "comm-supp"]])
+    @pytest.mark.parametrize("where, reason", [("missing", "No such file or directory"),
+                                               ("directory", "Is a directory")])
+    def test_unreadable_json_input_names_the_reason(self, tmp_path, capsys, argv, where, reason):
+        path = tmp_path / "nope.json" if where == "missing" else tmp_path
+        rc, _ = run(tmp_path, *argv, "--input", str(path))
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert rc == 2 and err == {"type": "InputError", "message": f"cannot read {path}: {reason}"}
+
+
+def _run_alone(argv):
+    """Exit code and stdout of `argv` in a fresh interpreter."""
+    src = str(Path(raagdyn.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "raagdyn.cli", *argv], capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout
+
+
+def _run_here(argv):
+    """Exit code, stdout and stderr of `argv` run by `main` in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as e:
+            rc = e.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+class TestParserReuse:
+    """One parser serves every call in a process; no call sees an earlier call's options."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_sample_defaults_after_explicit_options(self):
+        first = ["verify", "comm-supp", "--seed", "5", "--samples", "3"]
+        rc, out, _ = _run_here(first)
+        assert (rc, out) == _run_alone(first) and json.loads(out)["seed"] == 5
+        rc, out, _ = _run_here(["verify", "comm-supp"])
+        doc = json.loads(out)
+        assert doc["seed"] == 0 and doc["detail"]["samples"] == 100
+        assert (rc, out) == (0, _run_alone(["verify", "comm-supp"])[1])
+
+    def test_qmax_default_after_explicit_qmax(self, tmp_path):
+        p = tmp_path / "rot.json"
+        p.write_text(json.dumps(map_to_obj(PLMapCircle.rotation("5/7"))))
+        first = ["rot", "--input", str(p), "--qmax", "3"]
+        rc, out, _ = _run_here(first)
+        assert (rc, out) == _run_alone(first) and json.loads(out)["result"]["kind"] == "bounds"
+        rc, out, _ = _run_here(["rot", "--input", str(p)])
+        doc = json.loads(out)
+        assert doc["qmax"] == 64 and doc["result"] == {"kind": "exact", "value": "5/7"}
+        assert (rc, out) == (0, _run_alone(["rot", "--input", str(p)])[1])
+
+    def test_good_call_after_argparse_error(self, tmp_path):
+        rc, out, err = _run_here(["rot", "--seed", "1"])
+        assert rc == 2 and out == "" and "unrecognized arguments" in err
+        argv = ["verify", "phi-supp", "--seed", "3", "--samples", "4", "--format", "text"]
+        rc, out, _ = _run_here(argv)
+        assert (rc, out) == (0, _run_alone(argv)[1])
+
+
+# Pieces the fuzzers below assemble into input files: mostly well-formed, with
+# junk mixed in so every reader also meets broken input.  Exponents stay small.
+_VERTICES = st.sampled_from(["1", "2", "3", "4", "5", "a", "b"])
+_JUNK = st.sampled_from(["vertex", "graph", "strict", "--", "#", "{", "}", ";", "//", "x y z", ""])
+_FRACS = st.sampled_from(["0", "1", "1/2", "1/3", "2/3", "3/4", "4/3", "3/2", "-1", "1/0", "x", "", "2"])
+_JSON_LEAF = _FRACS | st.integers(-3, 3) | st.none() | st.booleans() | st.just([]) | st.just({})
+
+
+@st.composite
+def _edge_lists(draw):
+    line = (st.tuples(_VERTICES, _VERTICES).map(" ".join) | _VERTICES.map("vertex {}".format)
+            | st.lists(_VERTICES | _JUNK, max_size=3).map(" ".join))
+    return "\n".join(draw(st.lists(line, max_size=10))) + "\n"
+
+
+@st.composite
+def _dot_files(draw):
+    chain = st.lists(_VERTICES, min_size=1, max_size=4).map(" -- ".join) | _JUNK
+    body = "; ".join(draw(st.lists(chain, max_size=6)))
+    head = draw(st.sampled_from(["graph G {", "strict graph {", "graph {", "graph", "strict G {", "graph G"]))
+    return f"{head} {body}{draw(st.sampled_from([' }', '', ' } }', ' // }', ';}']))}\n"
+
+
+@st.composite
+def _word_files(draw):
+    good = st.tuples(st.sampled_from("abt"), st.integers(-4, 4)).map(lambda g: f"{g[0]}^{g[1]}")
+    junk = st.sampled_from(["a", "t", "c", "1", "#", "^2", "a^", "t^x", "b^--1", "a2"])
+    token = st.integers(0, 7).flatmap(lambda k: junk if k == 0 else good)  # one token in eight is junk
+    return "\n".join(draw(st.lists(st.lists(token, max_size=5).map(" ".join), max_size=4))) + "\n"
+
+
+def _maps(rng, keys):
+    """Well-formed maps for `keys`: a phi triple for b, c, d, a separating action for a, b, t."""
+    domain = rng.choice(("I", "S1"))
+    if keys == "bcd":
+        return dict(zip(keys, map(map_to_obj, random_phi_triple(rng, domain))))
+    if keys == "abt":
+        asg = build_separating_action(random_word(rng, 3, 3))
+        return {"a": map_to_obj(asg.a), "b": map_to_obj(asg.b), "t": map_to_obj(asg.t)}
+    if keys == "gu" or domain == "I":
+        return {k: map_to_obj(random_interval_map(rng, 3)) for k in keys}
+    return {k: map_to_obj(random_circle_map(rng, 3)) for k in keys}
+
+
+_CHECK_KEYS = {"comm-supp": "fg", "phi-supp": "bcd", "c1": "bcd", "two-jumps": "fg",
+               "lamplighter": "gu", "action": "abt"}
+
+
+@st.composite
+def _map_json(draw):
+    """A command and a payload for it, sometimes with one field replaced by junk."""
+    check = draw(st.sampled_from(["rot", *_CHECK_KEYS]))
+    rng = Random(draw(st.integers(0, 10 ** 6)))
+    if check == "rot":
+        argv = ["rot", *draw(st.sampled_from([[], ["--qmax", "5"]]))]
+        doc = _maps(rng, "f")
+        doc = doc["f"] if draw(st.booleans()) else {"maps": doc}
+    else:
+        argv = ["verify", check]
+        doc = {"maps": _maps(rng, _CHECK_KEYS[check])}
+    if check == "two-jumps":
+        doc["triples"] = draw(st.lists(st.lists(st.sampled_from(["0", "1", "1/2", "1/3"]), min_size=3, max_size=3),
+                                       max_size=3))
+    if check == "action":
+        doc["x0"] = draw(st.sampled_from(["1/2", "1/7", "0"]))
+        doc["words"] = draw(st.lists(st.sampled_from(["t", "a t^-1", "b^2 t a^-1", "a b"]), max_size=3))
+    if draw(st.integers(0, 2)) == 0:  # break one field, one level down
+        target = doc.get("maps", doc)
+        key = draw(st.sampled_from(sorted(target)))
+        if isinstance(target[key], dict) and draw(st.booleans()):
+            target = target[key]
+            key = draw(st.sampled_from(["points", "domain"]))
+        target[key] = draw(_JSON_LEAF | st.lists(st.lists(_FRACS, min_size=2, max_size=2), max_size=3))
+    return argv, doc
+
+
+_FUZZ = settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestReaderFuzz:
+    """Drawn edge-list, DOT, word and map-JSON files through `main`: exit 0, 1 or 2, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def fuzz_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    @staticmethod
+    def exits_cleanly(fuzz_dir, argv, data):
+        p = fuzz_dir / "input"
+        p.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8", "surrogatepass"))
+        rc, _, err = _run_here([*argv, "--input", str(p)])
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            assert json.loads(err)["error"]["type"]
+
+    @_FUZZ
+    @given(text=_edge_lists() | _dot_files(), cmd=st.sampled_from(["classify", "witness"]),
+           fmt=st.sampled_from(["json", "text"]))
+    def test_graph_readers(self, fuzz_dir, text, cmd, fmt):
+        self.exits_cleanly(fuzz_dir, [cmd, "--format", fmt], text)
+
+    @_FUZZ
+    @given(text=_word_files(), fmt=st.sampled_from(["json", "text"]))
+    def test_word_reader(self, fuzz_dir, text, fmt):
+        self.exits_cleanly(fuzz_dir, ["realize", "--format", fmt], text)
+
+    @_FUZZ
+    @given(case=_map_json(), fmt=st.sampled_from(["json", "text"]))
+    def test_map_json_reader(self, fuzz_dir, case, fmt):
+        argv, doc = case
+        self.exits_cleanly(fuzz_dir, [*argv, "--format", fmt], json.dumps(doc))
+
+    @_FUZZ
+    @given(data=st.binary(max_size=40) | st.text(max_size=40),
+           argv=st.sampled_from([["rot"], ["verify", "action"], ["classify"], ["realize"]]))
+    def test_arbitrary_bytes(self, fuzz_dir, data, argv):
+        self.exits_cleanly(fuzz_dir, argv, data)
