@@ -17,20 +17,19 @@ d = (end - start) / steps, so its graph is the corners (lo, lo),
 (start, start + d), (end - d, end), (hi, hi), with x and y swapped for a
 backward bump, as integers over scale * steps.  Plans keep that integer
 data so large enumerations can be checked with pure integer arithmetic,
-each translation piece crossed in one jump, while `build_separating_action`
-materializes exact PL maps from the same plan.  One walker, `_act`, applies
-a word to integer points, to rational points and to maps.
+while `build_separating_action` materializes exact PL maps from the same
+plan.  One walker, `_act`, applies a word to integer points, to rational
+points and to maps; every power at a point, of a plan or of a map, is
+taken by one kernel, `plmaps.bumps_power`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, Union
 
-from .plmaps import PLMapInterval, commutator, compose, power
+from .plmaps import Bump, PLMapInterval, bumps_power, commutator, compose, power
 from .words import (
     AB,
     T,
@@ -40,14 +39,6 @@ from .words import (
     is_reduced,
     parse_word,
 )
-
-
-class Bump(NamedTuple):
-    """Bump with graph corners (xs[i] / den, ys[i] / den), identity off [xs[0], xs[-1]]."""
-
-    den: int
-    xs: tuple[int, ...]
-    ys: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -134,45 +125,9 @@ def _act(word: FreeProductWord, x, power):
     return x
 
 
-def _bumps_power(bumps, e: int, x: tuple[int, int]) -> tuple[int, int]:
-    """x = (num, den) under the e-th power of a left-to-right bump family."""
-    num, den = x
-    for d, xs, ys in bumps:
-        nd = num * d
-        if nd <= xs[0] * den:
-            break
-        if nd >= xs[-1] * den:
-            continue
-        if e < 0:
-            xs, ys, e = ys, xs, -e
-        while e:
-            i = 1
-            while nd > xs[i] * den:
-                i += 1
-            if nd == xs[i] * den:  # on a corner
-                num, den = ys[i], d
-                e -= 1
-            else:
-                x0, y0, x1, y1 = xs[i - 1], ys[i - 1], xs[i], ys[i]
-                c = y0 - x0
-                if c == y1 - x1:  # translation by c / d: jump over every step it stays on
-                    j = min(e, (x1 * den - nd if c > 0 else nd - x0 * den) // (abs(c) * den) + 1)
-                    num, den = nd + j * c * den, d * den
-                    e -= j
-                else:
-                    dx = x1 - x0
-                    num, den = y0 * dx * den + (y1 - y0) * (nd - x0 * den), d * dx * den
-                    e -= 1
-                g = gcd(num, den)
-                num, den = num // g, den // g
-            nd = num * d
-        return num, den
-    return x
-
-
 def _walk_bumps(fams: dict, word: FreeProductWord, num: int, den: int) -> tuple[int, int]:
     """num/den under the word, with `fams` mapping "a", "b", "t" to their bump families."""
-    return _act(word, (num, den), lambda g, e, x: _bumps_power(fams[g], e, x))
+    return _act(word, (num, den), lambda g, e, x: bumps_power(fams[g], e, x))
 
 
 def plan_apply_word(plan: ActionPlan, word: FreeProductWord, num: int, den: int) -> tuple[int, int]:
@@ -238,33 +193,8 @@ def evaluate_word(asg: ActionAssignment, word: FreeProductWord) -> PLMapInterval
     return _act(word, PLMapInterval.identity(), lambda g, e, m: compose(power(getattr(asg, g), e), m))
 
 
-def _map_power(m: PLMapInterval, e: int, x: Fraction) -> Fraction:
-    """x under m^e: one affine step at a time, one jump across a slope-1 piece."""
-    xs, ys = (m.xs, m.ys) if e > 0 else (m.ys, m.xs)
-    if not xs[0] <= x <= xs[-1]:
-        raise ValueError(f"point {x} outside [{xs[0]}, {xs[-1]}]")
-    e, last = abs(e), len(xs) - 2
-    while e:
-        i = min(bisect_right(xs, x) - 1, last)
-        x0, y0, x1, y1 = xs[i], ys[i], xs[i + 1], ys[i + 1]
-        c = y0 - x0
-        if c == y1 - x1:
-            if not c:
-                return x
-            j = min(e, (x1 - x if c > 0 else x - x0) // abs(c) + 1)
-            x += j * c
-            e -= j
-        else:
-            y = y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-            if y == x:
-                return x
-            x = y
-            e -= 1
-    return x
-
-
 def evaluate_word_at(asg: ActionAssignment, word: FreeProductWord, x) -> Fraction:
-    return _act(word, Fraction(x), lambda g, e, y: _map_power(getattr(asg, g), e, y))
+    return _act(word, Fraction(x), lambda g, e, y: getattr(asg, g).evaluate_power(y, e))
 
 
 @dataclass(frozen=True)

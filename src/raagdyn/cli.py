@@ -242,12 +242,12 @@ def _verify_action(args, payload):
         raise PayloadError(f"action bundle: {e}") from e
     words = [parse_word(s) for s in serialize.payload_list(payload, "words")]
     witnesses = [serialize.str_to_frac(s) for s in serialize.payload_list(payload, "witnesses")]
-    if not witnesses:
-        witnesses = [asg.basepoint] * len(words)
-    if not all(0 <= x <= 1 for x in witnesses):
+    if witnesses and len(witnesses) != len(words):
+        raise PayloadError(f"{len(witnesses)} witnesses for {len(words)} words; give one per word or none")
+    if not all(0 <= x <= 1 for x in [asg.basepoint, *witnesses]):
         raise PayloadError("witness points and 'x0' must lie in [0, 1]")
     moved, stuck = [], []
-    for w, x in zip(words, witnesses):
+    for w, x in zip(words, witnesses or [asg.basepoint] * len(words)):
         y = evaluate_word_at(asg, w, x)
         (moved if y != x else stuck).append(serialize.frac_to_str(x))
     detail = {"words": len(words), "moved": len(moved), "stuck": len(stuck)}

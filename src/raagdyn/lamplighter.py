@@ -111,7 +111,4 @@ def recursive_commutator_chain(
 def certified_pair_disjointness(cert: LamplighterCertificate, j: int) -> bool:
     """Exact check that u^j maps the hull K of supp g off of K."""
     lo, hi = cert.hull
-    step = cert.u.evaluate if j >= 0 else cert.u.evaluate_inverse
-    for _ in range(abs(j)):
-        lo = step(lo)
-    return lo > hi
+    return cert.u.evaluate_power(lo, j) > hi

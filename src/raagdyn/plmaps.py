@@ -6,7 +6,8 @@ map is the lift pinned at F(0) = 0.  One kernel serves both: composition is
 a single merge sweep over the two breakpoint lists, run on integer
 numerators and denominators, and inversion swaps the pairs and rotates the
 period back onto [0,1].  All arithmetic is rational; equality of maps is
-equality of canonical breakpoint lists.
+equality of canonical breakpoint lists.  Powers x -> f^e(x), of integer
+plans and of interval maps alike, have one kernel: `bumps_power`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from functools import cached_property
+from typing import Iterable, NamedTuple, Optional
 
 from .intervals import IntervalSet, circle_complement, unit_canon
 
@@ -148,6 +150,64 @@ def _invert_lift(pts) -> list[tuple[Fraction, Fraction]]:
     )
 
 
+class Bump(NamedTuple):
+    """Graph corners (xs[i] / den, ys[i] / den), fixed at the two ends only; identity off [xs[0], xs[-1]]."""
+
+    den: int
+    xs: tuple[int, ...]
+    ys: tuple[int, ...]
+
+
+def bumps_power(bumps, e: int, x: tuple[int, int]) -> tuple[int, int]:
+    """x = (num, den) under the e-th power of a left-to-right bump family.
+
+    A step onto a corner gives its bump's (ys[i], den) as it stands, any other
+    step lowest terms; a slope-1 piece takes one jump, and a fixed x returns at once.
+    """
+    num, den = x
+    for d, xs, ys in bumps:
+        nd = num * d
+        if nd <= xs[0] * den:
+            break
+        if nd >= xs[-1] * den:
+            continue
+        if e < 0:
+            xs, ys, e = ys, xs, -e
+        entered, i = True, 1
+        while e:
+            while nd <= xs[i - 1] * den:  # an orbit inside a bump is monotone: i moves one way
+                i -= 1
+            while nd > (v := xs[i] * den):
+                i += 1
+            if nd == v:  # on a corner
+                num, den = ys[i], d
+                e -= 1
+            else:
+                if entered:  # lowest terms once: later steps give lowest terms or a corner
+                    g = math.gcd(num, den)
+                    num, den, nd, entered = num // g, den // g, nd // g, False
+                x0, y0, x1, y1 = xs[i - 1], ys[i - 1], xs[i], ys[i]
+                r, s, j = y1 - y0, x1 - x0, 1  # slope r / s, j steps
+                if r == s:  # translation by c / d: jump over every step it stays on
+                    c = y0 - x0
+                    j = min(e, (x1 * den - nd if c > 0 else nd - x0 * den) // (abs(c) * den) + 1)
+                e -= j
+                new = (y0 * s - r * x0) * j * den + r * nd  # x is now new / (d * s * den)
+                # lowest terms without a gcd of two long numbers: num/den is in
+                # lowest terms (or den is d, after a corner), so new shares
+                # exactly gcd(den, r * d) with den, and the rest of den nothing
+                g = math.gcd(den, r * d)
+                new, m = new // g, den // g
+                g = math.gcd(new, d * s)
+                new, m = new // g, d * s // g * m
+                if new == num and m == den:  # x is a fixed point inside the piece
+                    break
+                num, den = new, m
+            nd = num * d
+        return num, den
+    return x
+
+
 @dataclass(frozen=True)
 class PLMap:
     """One period of a lift over [0, 1] with F(1) = F(0) + 1.
@@ -227,6 +287,22 @@ class PLMapInterval(PLMap):
 
     def evaluate_inverse(self, y) -> Fraction:
         return _eval_pl(self.ys, self.xs, Fraction(y))
+
+    def evaluate_power(self, x, e: int) -> Fraction:
+        """x under the e-th power of the map, e of either sign."""
+        x = Fraction(x)
+        if not 0 <= x <= 1:
+            raise ValueError(f"point {x} outside [0, 1]")
+        return Fraction(*bumps_power(self._bumps, e, (x.numerator, x.denominator)))
+
+    @cached_property
+    def _bumps(self) -> tuple[Bump, ...]:
+        """The map as a bump family: each run of corners between two fixed corners, over its lcm denominator."""
+        pts = self.points
+        ends = [i for i, (x, y) in enumerate(pts) if x == y]
+        runs = [pts[i:k + 1] for i, k in zip(ends, ends[1:]) if k > i + 1]
+        dens = [math.lcm(*(v.denominator for p in run for v in p)) for run in runs]
+        return tuple(Bump(d, *(tuple(int(v * d) for v in col) for col in zip(*run))) for d, run in zip(dens, runs))
 
     def support(self) -> IntervalSet:
         return self.fixed_set().complement(0, 1)

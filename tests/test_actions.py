@@ -18,8 +18,10 @@ from raagdyn.actions import (
     plan_separating_action,
     plan_supports_disjoint,
 )
-from raagdyn.plmaps import PLMapInterval, compose
+from raagdyn.plmaps import Bump, PLMapInterval, bumps_power, compose
 from raagdyn.words import AB, T, FreeProductWord, TrivialWordError, parse_word
+
+import actions_ref
 
 F = Fraction
 
@@ -86,6 +88,98 @@ def maps_with_slope_one_pieces(draw):
     return PLMapInterval.from_points([(F(x, d), y / d) for x, y in zip(xs, ys)])
 
 
+@st.composite
+def bump_families(draw):
+    """Left-to-right bumps, each over its own denominator, with slope-1 pieces and pieces crossing the diagonal."""
+    k = draw(st.integers(1, 3))
+    bumps = []
+    for b in range(k):  # bump b spans [b/k, (b+1)/k]
+        q = draw(st.integers(3, 30))
+        lo, hi = b * q, (b + 1) * q
+        vs = draw(st.lists(st.integers(lo + 1, hi - 1), min_size=2, max_size=min(8, q - 1), unique=True))
+        kind = draw(st.sampled_from(["shift", "chain", "split"]))
+        if kind == "shift":  # every inner piece translates by c
+            c = draw(st.integers(1, q - 2)) * draw(st.sampled_from([1, -1]))
+            xs = sorted(draw(st.lists(st.integers(lo + 1 + max(0, -c), hi - 1 - max(0, c)),
+                                      min_size=1, max_size=4, unique=True)))
+            ys = [x + c for x in xs]
+        elif kind == "chain":  # each inner corner maps to the next one, as in a chain bump
+            xs, ys = sorted(vs)[:-1], sorted(vs)[1:]
+        else:  # inner corners split between abscissae and values, so none is fixed
+            vs = vs[:len(vs) // 2 * 2]
+            xs, ys = sorted(vs[0::2]), sorted(vs[1::2])
+        if draw(st.booleans()):
+            xs, ys = ys, xs
+        bumps.append(Bump(k * q, (lo, *xs, hi), (lo, *ys, hi)))
+    return tuple(bumps)
+
+
+@st.composite
+def maps_with_inner_fixed_point(draw):
+    """Interval maps with one piece crossing the diagonal at p, and p."""
+    p = F(draw(st.integers(5, 10)), 16)
+    a, b = F(draw(st.integers(1, 4)), 64), F(draw(st.integers(1, 4)), 64)
+    r = draw(st.sampled_from([F(1, 3), F(1, 2), F(2, 3), F(3, 2), F(2), F(3)]))
+    pts = [(0, 0), (p - a, p - r * a), (p + b, p + r * b), (1, 1)]
+    if draw(st.booleans()):  # a second run past a fixed corner
+        pts[-1:] = [(F(7, 8), F(7, 8)), (F(15, 16), F(29, 32)), (1, 1)]
+    return PLMapInterval.from_points(pts), p
+
+
+class TestPowerKernel:
+    """`bumps_power` against the two kernels it replaced (tests/actions_ref.py)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(fams=st.lists(bump_families(), min_size=1, max_size=3), data=st.data())
+    def test_pairs_match_reference_bumps_power(self, fams, data):
+        # entry states: any pair in [0, 1], maybe not in lowest terms, and corner pairs of other families
+        den = data.draw(st.integers(1, 60))
+        pairs = [(data.draw(st.integers(0, den)) * m, den * m) for m in (1, data.draw(st.integers(2, 5)))]
+        pairs += [(v, d) for d, xs, ys in fams[-1] for v in xs + ys]
+        for d, xs, ys in fams[0]:
+            for x0, y0, x1, y1 in zip(xs, ys, xs[1:], ys[1:]):
+                k = (x1 - x0) - (y1 - y0)
+                if (y0 - x0) * (y1 - x1) < 0:  # the piece meets the diagonal at (y0 x1 - x0 y1) / (k d)
+                    pairs.append(((y0 * x1 - x0 * y1) * k, k * k * d))
+        x = data.draw(st.sampled_from(pairs))
+        for fam in [fams[0], *data.draw(st.lists(st.sampled_from(fams), max_size=5))]:
+            # a walk: each output enters the next family
+            e = data.draw(st.integers(-12, 12))
+            y = bumps_power(fam, e, x)
+            assert y == actions_ref._bumps_power(fam, e, x)
+            x = y
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=maps_with_slope_one_pieces(), e=st.integers(-60, 60), x=st.integers(0, 48))
+    def test_map_power_on_slope_one_pieces(self, m, e, x):
+        assert m.evaluate_power(F(x, 48), e) == actions_ref._map_power(m, e, F(x, 48))
+
+    @settings(max_examples=60, deadline=None)
+    @given(mp=maps_with_inner_fixed_point(), e=st.integers(-50, 50), x=st.integers(0, 64))
+    def test_map_power_with_inner_fixed_point(self, mp, e, x):
+        m, p = mp
+        assert m.evaluate_power(F(x, 64), e) == actions_ref._map_power(m, e, F(x, 64))
+        for e in (10 ** 6, -10 ** 6):  # returns at once: the first step leaves p fixed
+            assert m.evaluate_power(p, e) == p == actions_ref._map_power(m, e, p)
+
+    @pytest.mark.parametrize("e", [1000, -1500, 3000])
+    def test_map_power_on_contracting_runs(self, e):
+        rng = Random(e)
+        w = parse_word("a^40 t^-30 b^7 t")
+        asg = build_separating_action(w)
+        for m in (asg.a, asg.b, asg.t):
+            for x in [F(rng.randint(1, 63), 64) for _ in range(3)] + [asg.basepoint]:
+                y = m.evaluate_power(x, e)
+                assert y == actions_ref._map_power(m, e, x)
+                assert y == x or m.evaluate_power(y, -e) == x
+
+    def test_evaluate_power_rejects_points_outside(self):
+        m = build_separating_action("t").t
+        for x in (F(-1, 2), F(3, 2)):
+            with pytest.raises(ValueError, match="outside"):
+                m.evaluate_power(x, 3)
+
+
 class TestSeparatingAction:
     def test_single_t_moves_basepoint_right(self):
         asg = build_separating_action("t")
@@ -129,13 +223,15 @@ class TestSeparatingAction:
             plan = plan_separating_action(w)
             asg = materialize_plan(plan)
             assert plan_supports_disjoint(plan)
-            # the integer fast path and the PL map path agree pointwise
+            # the integer plan path, the PL map path and one map step per unit
+            # of exponent agree pointwise; the first two share one power kernel
             num, den = plan_apply_word(plan, w, plan.base_num, plan.base_den)
-            assert F(num, den) == evaluate_word_at(asg, w, plan.basepoint())
+            b = plan.basepoint()
+            assert F(num, den) == evaluate_word_at(asg, w, b) == stepwise_word_at(asg, w, b)
             xs = [F(rng.randint(0, 16), 16)] + list(zone_points(rng, plan))
             for x in xs:
                 num, den = plan_apply_word(plan, w, x.numerator, x.denominator)
-                assert F(num, den) == evaluate_word_at(asg, w, x)
+                assert F(num, den) == evaluate_word_at(asg, w, x) == stepwise_word_at(asg, w, x)
 
     def test_bump_size_does_not_grow_with_steps(self):
         plan = plan_separating_action("a^1000000 t^-999999 b^3 t")

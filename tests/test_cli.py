@@ -121,6 +121,29 @@ class TestRealizeAndVerify:
             assert main(["verify", "action", "--input", str(tmp_path / "out"),
                          "--output", str(tmp_path / "v")]) == 0
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc.update(witnesses=doc["witnesses"][:1]),
+            lambda doc: doc["words"].append("a^2 t"),
+            lambda doc: doc.update(x0="3/2"),
+        ],
+        ids=["one-witness", "extra-word", "x0-outside"],
+    )
+    def test_witnesses_pair_with_words(self, tmp_path, capsys, edit):
+        """A bundle whose witnesses leave a word unevaluated, or whose x0 leaves [0, 1], exits 2."""
+        words = tmp_path / "words.txt"
+        words.write_text("a t\nb t^-1\nt a^-1\n")
+        bundle = tmp_path / "bundle.json"
+        assert main(["realize", "--input", str(words), "--output", str(bundle)]) == 0
+        doc = json.loads(bundle.read_text())
+        assert len(doc["witnesses"]) == 3
+        edit(doc)
+        bundle.write_text(json.dumps(doc))
+        rc, text = run(tmp_path, "verify", "action", "--input", str(bundle))
+        assert (rc, text) == (2, "")
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "PayloadError"
+
     def test_trivial_word_exits_2(self, tmp_path):
         words = tmp_path / "words.txt"
         words.write_text("t\na b a^-1 b^-1\n")
