@@ -11,7 +11,6 @@ from .plmaps import (
     commutator,
     compose,
     invert,
-    is_grounded,
     power,
     rotation_number,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "full_subgraph",
     "hierarchy_level",
     "invert",
-    "is_grounded",
     "join",
     "parse_word",
     "power",

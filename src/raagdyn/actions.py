@@ -135,17 +135,6 @@ def plan_apply_word(plan: ActionPlan, word: FreeProductWord, num: int, den: int)
     return _walk_bumps({"a": plan.a_bumps, "b": plan.b_bumps, "t": plan.t_bumps}, word, num, den)
 
 
-def plan_supports_disjoint(plan: ActionPlan) -> bool:
-    spans = sorted(
-        (Fraction(bp.xs[0], bp.den), Fraction(bp.xs[-1], bp.den), g)
-        for g, bumps in (("a", plan.a_bumps), ("b", plan.b_bumps))
-        for bp in bumps
-    )
-    return all(
-        g1 == g2 or hi1 <= lo2 for (_, hi1, g1), (lo2, _, g2) in zip(spans, spans[1:])
-    )
-
-
 def _materialize(bumps: Iterable[Bump]) -> PLMapInterval:
     """Interval map of bumps laid left to right, identity between them."""
     pts = [(0, 0)]

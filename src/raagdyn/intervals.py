@@ -192,17 +192,3 @@ def circle_complement(s: IntervalSet) -> IntervalSet:
         else:
             out.append((a, ac, b, bc))
     return IntervalSet.of(out)
-
-
-def wrapped_components(s: IntervalSet) -> list[tuple[Fraction, Fraction, bool, bool]]:
-    """Components of a circle set with the seam glued.
-
-    A component crossing 0 is reported once as (a, b + 1, ...).  Endpoint
-    flags are returned for completeness; open supports use open ones.
-    """
-    parts = list(s.parts)
-    if len(parts) >= 2:
-        first, last = parts[0], parts[-1]
-        if first[0] == 0 and first[1] and last[2] == 1 and not last[3]:
-            parts = parts[1:-1] + [(last[0], last[1], first[2] + 1, first[3])]
-    return [(a, b, ac, bc) for a, ac, b, bc in parts]

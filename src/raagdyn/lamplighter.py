@@ -1,4 +1,4 @@
-"""Lamplighter certificates and recursive commutator chains on the interval.
+"""Lamplighter certificates on the interval.
 
 A pair (g, u) is certified when the closed hull K of supp g sits inside
 (0,1), u throws inf K past sup K, and u never moves points left of themselves
@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
-from .intervals import IntervalSet
-from .plmaps import PLMapInterval, commutator, compose, invert
+from .plmaps import PLMapInterval, compose, invert
 
 
 class IdentityInputError(ValueError):
@@ -69,43 +68,6 @@ def lamplighter_certificate(
         if compose(g, conj) != compose(conj, g):
             raise AssertionError(f"commutation [g, u^{j} g u^-{j}] failed")
     return LamplighterCertificate(g, u, hull, j_checked)
-
-
-@dataclass(frozen=True)
-class ChainStep:
-    support: IntervalSet  # open support of the current iterate
-    next_is_identity: bool
-
-
-@dataclass(frozen=True)
-class ChainReport:
-    steps: tuple[ChainStep, ...]
-    reached_identity: bool
-    final: PLMapInterval
-
-
-def recursive_commutator_chain(
-    g1: PLMapInterval, picks: Iterable[PLMapInterval]
-) -> ChainReport:
-    """Iterate g_{i+1} = [g_i, u_i g_i u_i^-1] along the given picks.
-
-    Stops at the first identity iterate or when picks run out; each step
-    records the support of g_i and whether the next iterate vanished.
-    """
-    if g1.is_identity():
-        raise IdentityInputError("g1 must not be the identity")
-    g = g1
-    steps = []
-    reached = False
-    for u in picks:
-        nxt = commutator(g, compose(compose(u, g), invert(u)))
-        done = nxt.is_identity()
-        steps.append(ChainStep(g.support(), done))
-        g = nxt
-        if done:
-            reached = True
-            break
-    return ChainReport(tuple(steps), reached, g)
 
 
 def certified_pair_disjointness(cert: LamplighterCertificate, j: int) -> bool:

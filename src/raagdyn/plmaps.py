@@ -64,12 +64,6 @@ def _eval_pl(xs, ys, x: Fraction) -> Fraction:
     return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
 
-def _slopes(points) -> list[Fraction]:
-    return [
-        (y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(points, points[1:])
-    ]
-
-
 def _lerp(an, ad, bn, bd, cn, cd, dn, dd, tn, td):
     """b + (d - b)(t - a)/(c - a) in lowest terms, for a < c; each value is n/d, d > 0."""
     p = (tn * ad - an * td) * cd
@@ -267,13 +261,6 @@ class PLMap:
                     parts.append((root, True, root, True))
         return IntervalSet.of(parts)
 
-    def derivative_variation(self) -> Fraction:
-        """Total variation of the slope step function over interior breakpoints."""
-        slopes = _slopes(self.points)
-        return sum(
-            (abs(s1 - s0) for s0, s1 in zip(slopes, slopes[1:])), Fraction(0)
-        )
-
 
 class PLMapInterval(PLMap):
     @staticmethod
@@ -284,9 +271,6 @@ class PLMapInterval(PLMap):
 
     def evaluate(self, x) -> Fraction:
         return _eval_pl(self.xs, self.ys, Fraction(x))
-
-    def evaluate_inverse(self, y) -> Fraction:
-        return _eval_pl(self.ys, self.xs, Fraction(y))
 
     def evaluate_power(self, x, e: int) -> Fraction:
         """x under the e-th power of the map, e of either sign."""
@@ -334,11 +318,6 @@ class PLMapCircle(PLMap):
     def support(self) -> IntervalSet:
         return circle_complement(self.fixed_set())
 
-    def derivative_variation(self) -> Fraction:
-        """Cyclic slope variation: interior jumps plus the seam jump."""
-        seam = _slopes(self.points[:2])[0] - _slopes(self.points[-2:])[0]
-        return super().derivative_variation() + abs(seam)
-
 
 def require_same_domain(*maps: PLMap):
     first = type(maps[0])
@@ -372,11 +351,6 @@ def commutator(f: PLMap, g: PLMap) -> PLMap:
     """[f, g] = f g f^-1 g^-1."""
     require_same_domain(f, g)
     return compose(compose(f, g), compose(invert(f), invert(g)))
-
-
-def is_grounded(f: PLMap) -> bool:
-    """Whether f has a fixed point; always true on the interval, where 0 is fixed."""
-    return not f.fixed_set().is_empty()
 
 
 @dataclass(frozen=True)

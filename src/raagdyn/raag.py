@@ -3,8 +3,8 @@
 A word is a sequence of (vertex, +1/-1) letters.  Two letters commute exactly
 when their vertices coincide or are adjacent in the graph.  A word represents
 the identity iff it can be emptied by repeatedly deleting a letter pair
-x ... x^-1 whose in-between letters all commute with x; reduction to a
-fixpoint therefore decides the word problem.
+x ... x^-1 whose in-between letters all commute with x; a word with no such
+pair has minimal length, so reduction decides the word problem.
 """
 
 from __future__ import annotations
@@ -53,28 +53,21 @@ def invert_letters(letters: list[Letter]) -> list[Letter]:
 
 
 def reduce_word(g: SimplicialGraph, letters: list[Letter]) -> list[Letter]:
-    """Delete cancellable pairs until none remain; the result's length is minimal."""
-    word = list(letters)
-    for name, _ in word:
-        g.index(name)  # raises on unknown generator
-    changed = True
-    while changed:
-        changed = False
-        n = len(word)
-        for i in range(n):
-            vi, si = word[i]
-            for j in range(i + 1, n):
-                vj, sj = word[j]
-                if vj == vi:
-                    if sj == -si:
-                        del word[j]
-                        del word[i]
-                        changed = True
-                    break
-                if not g.adjacent(vi, vj):
-                    break
-            if changed:
-                break
+    """Cancel each letter against an inverse it commutes past, else append it.
+
+    The kept word has no cancellable pair after each step, so the result's
+    length is minimal.
+    """
+    word: list[Letter] = []
+    for v, s in letters:
+        g.index(v)  # raises on unknown generator
+        i = len(word) - 1
+        while i >= 0 and word[i][0] != v and g.adjacent(word[i][0], v):
+            i -= 1
+        if i >= 0 and word[i] == (v, -s):
+            del word[i]
+        else:
+            word.append((v, s))
     return word
 
 

@@ -11,7 +11,7 @@ from typing import Union
 from .actions import ActionAssignment, FaithfulAction
 from .cotree import Classification, EmbeddingWitness
 from .graphs import SimplicialGraph
-from .intervals import IntervalSet, wrapped_components
+from .intervals import IntervalSet
 from .plmaps import PLMapCircle, PLMapInterval, PLMap, RotationResult
 from .words import format_word
 
@@ -85,12 +85,6 @@ def payload_list(payload: dict, key: str, item_ok=lambda s: isinstance(s, str), 
     if not isinstance(items, list) or not all(map(item_ok, items)):
         raise PayloadError(f"'{key}' must be a list of {what}")
     return items
-
-
-def support_to_obj(s: IntervalSet, domain: str = "I") -> list:
-    if domain == "S1":
-        return [[frac_to_str(a), frac_to_str(b)] for a, b, _, _ in wrapped_components(s)]
-    return [[frac_to_str(a), frac_to_str(b)] for a, _, b, _ in s.parts]
 
 
 def set_to_obj(s: IntervalSet) -> list:

@@ -92,9 +92,6 @@ class FreeProductWord:
                 inv.append((T, -s[1]))
         return FreeProductWord(tuple(inv))
 
-    def conjugate_by(self, w: "FreeProductWord") -> "FreeProductWord":
-        return w * self * w.inverse()
-
 
 _TOKEN = re.compile(r"^([abt])(?:\^(-?\d+))?$")
 

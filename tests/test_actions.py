@@ -16,9 +16,8 @@ from raagdyn.actions import (
     materialize_plan,
     plan_apply_word,
     plan_separating_action,
-    plan_supports_disjoint,
 )
-from raagdyn.plmaps import Bump, PLMapInterval, bumps_power, compose
+from raagdyn.plmaps import Bump, PLMapInterval, bumps_power, compose, invert
 from raagdyn.words import AB, T, FreeProductWord, TrivialWordError, parse_word
 
 import actions_ref
@@ -44,6 +43,13 @@ def random_word(rng: Random, max_len=6, emax=2) -> FreeProductWord:
     return FreeProductWord(tuple(syls))
 
 
+def random_conjugate(rng: Random, word_len: int, conj_len: int) -> FreeProductWord:
+    """c w c^-1, drawing w (exponents up to 40) before c (exponents up to 9)."""
+    w = random_word(rng, word_len, 40)
+    c = random_word(rng, conj_len, 9)
+    return c * w * c.inverse()
+
+
 def zone_points(rng: Random, plan):
     """A random rational inside each piece of every bump: expanding, translation, contracting."""
     for bp in plan.a_bumps + plan.b_bumps + plan.t_bumps:
@@ -52,8 +58,9 @@ def zone_points(rng: Random, plan):
 
 
 def _apply_power(m: PLMapInterval, e: int, x: Fraction) -> Fraction:
+    step = m if e > 0 else invert(m)
     for _ in range(abs(e)):
-        x = m.evaluate(x) if e > 0 else m.evaluate_inverse(x)
+        x = step.evaluate(x)
     return x
 
 
@@ -216,13 +223,13 @@ class TestSeparatingAction:
         rng = Random(7)
         conjugated = [parse_word(s) for s in ("a^5 t a^5 t a^-5", "t^3 b^-7 a^2 t^-3", "b^40 t^-1 a^-40")]
         words = [random_word(rng) for _ in range(40)] + [random_word(rng, 6, 40) for _ in range(25)]
-        words += conjugated + [random_word(rng, 3, 40).conjugate_by(random_word(rng, 2, 9)) for _ in range(10)]
+        words += conjugated + [random_conjugate(rng, 3, 2) for _ in range(10)]
         for w in words:
             if w.is_identity():
                 continue
             plan = plan_separating_action(w)
             asg = materialize_plan(plan)
-            assert plan_supports_disjoint(plan)
+            asg.validate()
             # the integer plan path, the PL map path and one map step per unit
             # of exponent agree pointwise; the first two share one power kernel
             num, den = plan_apply_word(plan, w, plan.base_num, plan.base_den)
@@ -363,7 +370,7 @@ class TestPlanPinned:
         rng = Random(41)
         words = list(_c6_words(4))
         assert len(words) == 21340
-        words += [random_word(rng, 4, 40).conjugate_by(random_word(rng, 3, 9)) for _ in range(300)]
+        words += [random_conjugate(rng, 4, 3) for _ in range(300)]
         words += ["a^5 t a^5 t a^-5", "t^3 b^-7 a^2 t^-3", "b^40 t^-1 a^-40", "t^2 a t^-2", "a b^2 t a^-1"]
         words += [FreeProductWord(((AB, 1, 0), (AB, 0, 1), (T, 0), (T, 2), (AB, -1, 0)))]
         h = hashlib.sha256()

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -320,6 +321,41 @@ class TestRot:
         p.write_text(json.dumps({"domain": "I", "points": [["0", "0"], ["1", "1"]]}))
         rc, _ = run(tmp_path, "rot", "--input", str(p))
         assert rc == 2
+
+
+# the commands of the README's CLI block; realize prints to stdout here, and
+# `verify action` reads the bundle that the README's realize writes
+_README_FILES = {
+    "p4.txt": "1 2\n2 3\n3 4\n",
+    "words.txt": "t\na t^-1\nb^2 t a^-1 t^2\n",
+    "rot.json": '{"domain":"S1","points":[["0","1/3"],["1","4/3"]]}\n',
+}
+_README_COMMANDS = [
+    ["classify", "--input", "p4.txt"],
+    ["witness", "--input", "p4.txt"],
+    ["realize", "--input", "words.txt"],
+    ["verify", "action", "--input", "bundle.json"],
+    ["verify", "comm-supp", "--seed", "42", "--samples", "1000"],
+    ["verify", "phi-supp", "--seed", "7", "--samples", "200"],
+    ["rot", "--input", "rot.json"],
+]
+
+
+class TestReadmeExamples:
+    def test_stdout_is_pinned(self, tmp_path, monkeypatch, capsys):
+        """Exit codes and stdout of every README example, in both formats, stay byte-identical."""
+        monkeypatch.chdir(tmp_path)
+        for name, text in _README_FILES.items():
+            (tmp_path / name).write_text(text)
+        assert main(["realize", "--input", "words.txt", "--output", "bundle.json"]) == 0
+        h = hashlib.sha256((tmp_path / "bundle.json").read_bytes())
+        for fmt in ("json", "text"):
+            for argv in _README_COMMANDS:
+                rc = main([*argv, "--format", fmt])
+                out = capsys.readouterr().out
+                h.update(f"{' '.join(argv)} --format {fmt}\n{rc}\n{out}".encode())
+        assert out == "1/3\n"  # the README's rot example, in text
+        assert h.hexdigest() == "d89bcb8575b6f653cdb9bf1ac6896b0fe2016810da88b00878daf873ca2dcbf3"
 
 
 def threshold_file(tmp_path, n):

@@ -11,7 +11,6 @@ from raagdyn.intervals import (
     circle_closure,
     circle_complement,
     unit_canon,
-    wrapped_components,
 )
 
 F = Fraction
@@ -120,11 +119,6 @@ class TestCircle:
         s = IntervalSet.of([(F(0), True, F(1, 2), False)])
         c = circle_complement(s)
         assert c.contains(F(1, 2)) and c.contains(F(3, 4)) and not c.contains(0)
-
-    def test_wrapped_components(self):
-        s = unit_canon(IntervalSet.open(F(7, 8), F(9, 8)))
-        comps = wrapped_components(s)
-        assert comps == [(F(7, 8), F(9, 8), False, False)]
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10**9), st.integers(0, 31))

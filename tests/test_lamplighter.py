@@ -10,10 +10,8 @@ from raagdyn.lamplighter import (
     IdentityInputError,
     certified_pair_disjointness,
     lamplighter_certificate,
-    recursive_commutator_chain,
 )
 from raagdyn.plmaps import PLMapInterval, commutator, compose, invert, power
-from raagdyn.randmaps import random_bump
 from test_acceptance import _certified_pair
 
 F = Fraction
@@ -114,39 +112,3 @@ class TestAgainstReferenceLoop:
                     probe = dataclasses.replace(cert, hull=(lo, hi))
                     assert certified_pair_disjointness(probe, j) == (x > hi)
 
-
-class TestChain:
-    def test_identity_pick_terminates_immediately(self):
-        g = bump_on_eighth_quarter()
-        report = recursive_commutator_chain(g, [PLMapInterval.identity()])
-        assert report.reached_identity
-        assert report.steps[0].next_is_identity
-        assert report.final.is_identity()
-
-    def test_certified_pick_terminates(self):
-        report = recursive_commutator_chain(bump_on_eighth_quarter(), [throwing_map()])
-        assert report.reached_identity and len(report.steps) == 1
-
-    def test_identity_start_rejected(self):
-        with pytest.raises(IdentityInputError):
-            recursive_commutator_chain(PLMapInterval.identity(), [])
-
-    def test_generic_pick_reports_support(self):
-        rng = Random(3)
-        g = random_bump(rng, F(1, 4), F(3, 4))
-        u = PLMapInterval.from_points([(0, 0), (F(1, 2), F(5, 8)), (1, 1)])
-        report = recursive_commutator_chain(g, [u, u])
-        assert not report.steps[0].support.is_empty()
-        if not report.reached_identity:
-            assert len(report.steps) == 2
-
-    def test_exhaustion_without_identity(self):
-        rng = Random(5)
-        for _ in range(10):
-            g = random_bump(rng, F(1, 8), F(7, 8), max_breaks=2)
-            if g.is_identity():
-                continue
-            u = random_bump(rng, F(1, 16), F(15, 16), max_breaks=2)
-            report = recursive_commutator_chain(g, [u])
-            # either the commutator vanished or the report says it did not
-            assert report.reached_identity == report.final.is_identity()

@@ -17,7 +17,6 @@ from raagdyn.plmaps import (
     commutator,
     compose,
     invert,
-    is_grounded,
     power,
     rotation_number,
 )
@@ -283,64 +282,18 @@ class TestSupport:
 
 
 class TestGrounded:
+    """A map is grounded when it has a fixed point, i.e. a nonempty fixed set."""
+
     def test_interval_always(self):
         rng = Random(1)
-        assert is_grounded(random_interval_map(rng))
+        assert random_interval_map(rng).fixed_set().contains(0)
 
     def test_rotation_not_grounded(self):
-        assert not is_grounded(PLMapCircle.rotation(F(1, 3)))
+        assert PLMapCircle.rotation(F(1, 3)).fixed_set().is_empty()
 
     def test_circle_with_fixed_zero(self):
         m = PLMapCircle.from_points([(0, 0), (F(1, 2), F(5, 8)), (1, 1)])
-        assert is_grounded(m)
-
-
-class TestVariation:
-    def test_identity_and_rotation_zero(self):
-        assert PLMapInterval.identity().derivative_variation() == 0
-        assert PLMapCircle.rotation(F(1, 3)).derivative_variation() == 0
-
-    def test_two_piece_interior_convention(self):
-        m = PLMapInterval.from_points([(0, 0), (F(1, 2), F(1, 4)), (1, 1)])
-        assert m.derivative_variation() == 1
-
-    def test_circle_counts_seam(self):
-        m = PLMapCircle.from_points([(0, 0), (F(1, 2), F(3, 4)), (1, 1)])
-        # slopes 3/2 then 1/2: interior jump 1, seam jump 1
-        assert m.derivative_variation() == 2
-
-    def test_zero_exactly_for_constant_slope(self):
-        rng = Random(55)
-        for _ in range(40):
-            f = random_interval_map(rng)
-            var = f.derivative_variation()
-            assert var >= 0
-            assert (var == 0) == (len(f.points) == 2)
-            c = random_circle_map(rng, grounded=rng.random() < 0.5)
-            cvar = c.derivative_variation()
-            assert cvar >= 0
-            assert (cvar == 0) == (len(c.points) == 2)
-
-    @pytest.mark.parametrize(
-        "pts",
-        [
-            [(0, 0), (F(1, 2), F(1, 4)), (1, 1)],
-            [(0, 0), (F(1, 4), F(1, 2)), (F(1, 2), F(5, 8)), (1, 1)],
-            [(0, 0), (F(1, 8), F(1, 16)), (F(3, 4), F(7, 8)), (1, 1)],
-        ],
-    )
-    def test_matches_partition_supremum(self, pts):
-        # evaluating the slope step function on any partition with one sample
-        # point inside every linear piece recovers the supremum exactly
-        m = PLMapInterval.from_points(pts)
-        slopes = []
-        for (x0, y0), (x1, y1) in zip(m.points, m.points[1:]):
-            slopes.append((y1 - y0) / (x1 - x0))
-        samples = []
-        for i, ((x0, _), (x1, _)) in enumerate(zip(m.points, m.points[1:])):
-            samples.append(slopes[i])
-        riemann = sum(abs(s1 - s0) for s0, s1 in zip(samples, samples[1:]))
-        assert riemann == m.derivative_variation()
+        assert m.fixed_set().contains(0)
 
 
 class TestRotationNumber:
@@ -360,7 +313,7 @@ class TestRotationNumber:
             f = random_circle_map(rng, grounded=rng.random() < 0.5)
             res = rotation_number(f, q_max=12)
             if res.is_exact():
-                assert (res.value == 0) == is_grounded(f)
+                assert (res.value == 0) == (not f.fixed_set().is_empty())
 
     def test_remark_composition(self):
         b = PLMapCircle.rotation(F(1, 4))

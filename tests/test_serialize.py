@@ -77,19 +77,6 @@ def test_graph_roundtrip():
     assert obj_to_graph(graph_to_obj(g)) == g
 
 
-def test_support_emission_wraps_on_circle():
-    from raagdyn.plmaps import PLMapCircle
-    from raagdyn.serialize import support_to_obj
-
-    m = PLMapCircle.from_points([(0, F(1, 16)), (F(1, 2), F(1, 2)), (1, F(17, 16))])
-    obj = support_to_obj(m.support(), domain="S1")
-    assert obj == [["1/2", "3/2"]]
-    i = build_separating_action("t")
-    sup = i.t.support()
-    obj = support_to_obj(sup, domain="I")
-    assert len(obj) == 1 and all(isinstance(x, str) for x in obj[0])
-
-
 def test_classification_document():
     g = path_graph("1234")
     doc = classification_to_obj(g, classify(g), witness(g))
