@@ -10,33 +10,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from .intervals import IntervalSet, circle_closure, unit_canon
-from .plmaps import PLMap, PLMapCircle, commutator, compose, invert, require_same_domain
+from typing import Iterable
+
+from .intervals import IntervalSet
+from .plmaps import PLMap, commutator, compose, invert, require_same_domain
 
 
 class HypothesisViolatedError(ValueError):
     pass
 
 
-def _closure(f: PLMap, s: IntervalSet) -> IntervalSet:
-    if isinstance(f, PLMapCircle):
-        return circle_closure(s)
-    return s.closure()
-
-
-def _image(f: PLMap, s: IntervalSet) -> IntervalSet:
-    """Exact image of an interval-union set under f."""
-    if isinstance(f, PLMapCircle):
-        return unit_canon(s.map_endpoints(f.evaluate_lift))
-    return s.map_endpoints(f.evaluate)
-
-
 def check_commutator_support(f: PLMap, g: PLMap) -> bool:
     """closure(supp [f,g]) inside supp f + supp g + closure(supp f meet supp g)."""
     require_same_domain(f, g)
     sf, sg = f.support(), g.support()
-    lhs = _closure(f, commutator(f, g).support())
-    rhs = sf.union(sg).union(_closure(f, sf.intersection(sg)))
+    lhs = f.closure(commutator(f, g).support())
+    rhs = sf.union(sg).union(f.closure(sf.intersection(sg)))
     return lhs.is_subset_of(rhs)
 
 
@@ -63,8 +52,8 @@ def check_phi_support(b: PLMap, c: PLMap, d: PLMap) -> bool:
     phi = _phi(b, b_inv, c, d)
     rhs = (
         sb
-        .union(_image(compose(c, b), sb.intersection(sd)))
-        .union(_image(compose(d, b_inv), sb.intersection(sc)))
+        .union(compose(c, b).image(sb.intersection(sd)))
+        .union(compose(d, b_inv).image(sb.intersection(sc)))
     )
     return phi.support().is_subset_of(rhs)
 
@@ -84,23 +73,10 @@ def check_c1_containment(b: PLMap, c: PLMap, d: PLMap) -> C1ContainmentReport:
     require_same_domain(b, c, d)
     sc, sd = _cd_supports(c, d)
     phi = _phi(b, invert(b), c, d)
-    lhs = _closure(b, phi.support().difference(b.support()))
+    lhs = b.closure(phi.support().difference(b.support()))
     rhs = sc.union(sd)
     violating = lhs.difference(rhs)
     return C1ContainmentReport(violating.is_empty(), violating)
-
-
-@dataclass(frozen=True)
-class TwoJumpsData:
-    f: PLMap
-    g: PLMap
-    triples: tuple[tuple[Fraction, Fraction, Fraction], ...]  # (s_i, t_i, y_i)
-
-    @staticmethod
-    def of(f, g, triples) -> "TwoJumpsData":
-        return TwoJumpsData(
-            f, g, tuple((Fraction(s), Fraction(t), Fraction(y)) for s, t, y in triples)
-        )
 
 
 @dataclass(frozen=True)
@@ -110,26 +86,22 @@ class TwoJumpsReport:
     failures: tuple[int, ...]  # indices of triples matching neither pattern
 
 
-def _value(m: PLMap, x: Fraction) -> Fraction:
-    if isinstance(m, PLMapCircle):
-        return m.evaluate_circle(x)
-    return m.evaluate(x)
-
-
-def check_two_jumps_prefix(data: TwoJumpsData) -> TwoJumpsReport:
-    """Verify each triple matches one of the two crossing configurations.
+def check_two_jumps_prefix(
+    f: PLMap, g: PLMap, triples: Iterable[tuple[Fraction, Fraction, Fraction]]
+) -> TwoJumpsReport:
+    """Verify each triple (s, t, y) matches one of the two crossing configurations.
 
     Configuration (i): f(y) <= s = g(s) < y < t = f(t) <= g(y); configuration
     (ii) swaps the roles.  Only the finite prefix is checked; the regularity
     conclusion needs infinite sequences and is not drawn here.
     """
-    require_same_domain(data.f, data.g)
+    require_same_domain(f, g)
     gaps = []
     failures = []
-    for i, (s, t, y) in enumerate(data.triples):
-        fy, gy = _value(data.f, y), _value(data.g, y)
-        fs, gs = _value(data.f, s), _value(data.g, s)
-        ft, gt = _value(data.f, t), _value(data.g, t)
+    for i, (s, t, y) in enumerate(triples):
+        fy, gy = f.evaluate(y), g.evaluate(y)
+        fs, gs = f.evaluate(s), g.evaluate(s)
+        ft, gt = f.evaluate(t), g.evaluate(t)
         cond_i = fy <= s and gs == s and s < y < t and ft == t and t <= gy
         cond_ii = gy <= t and ft == t and t < y < s and gs == s and s <= fy
         gaps.append(abs(gy - fy))

@@ -17,7 +17,6 @@ from . import serialize
 from .actions import build_faithful_on, evaluate_word_at
 from .checks import (
     HypothesisViolatedError,
-    TwoJumpsData,
     check_c1_containment,
     check_commutator_support,
     check_phi_support,
@@ -206,7 +205,9 @@ def _verify_two_jumps(args, payload):
     triples = [tuple(map(serialize.str_to_frac, t)) for t in triples]
     if isinstance(f, PLMapInterval) and not all(0 <= v <= 1 for t in triples for v in t):
         raise PayloadError("'triples' on the interval need values in [0, 1]")
-    report = check_two_jumps_prefix(TwoJumpsData.of(f, g, triples))
+    if isinstance(f, PLMapCircle) and not all(0 <= v < 1 for t in triples for v in t):
+        raise PayloadError("'triples' on the circle need values in [0, 1)")
+    report = check_two_jumps_prefix(f, g, triples)
     detail = {
         "valid": report.valid,
         "gaps": [frac_to_str(x) for x in report.gaps],

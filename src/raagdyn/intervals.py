@@ -159,36 +159,17 @@ FULL_CIRCLE = IntervalSet((
 
 def unit_canon(s: IntervalSet) -> IntervalSet:
     """Reduce an arbitrary line set modulo 1 into the fundamental domain."""
-    out: list[Part] = []
-    for a, ac, b, bc in s.parts:
-        if b - a >= 1:
-            return FULL_CIRCLE
-        k = math.floor(a)
-        a, b = a - k, b - k
-        if b < 1 or (b == 1 and not bc):
-            out.append((a, ac, b, bc))
-        elif b == 1:  # right end hits the seam: 1 is the point 0
-            out.append((a, ac, Fraction(1), False))
-            out.append((Fraction(0), True, Fraction(0), True))
-        else:
-            out.append((a, ac, Fraction(1), False))
-            out.append((Fraction(0), True, b - 1, bc))
-    return IntervalSet.of(out)
+    # shifted to start in [0, 1), a part meets the circle in its pieces on
+    # [0, 1) and on [1, 2); one that reaches past 2 covers [1, 2) whole
+    line = IntervalSet.of((a - (k := math.floor(a)), ac, b - k, bc) for a, ac, b, bc in s.parts)
+    return line.intersection(FULL_CIRCLE).union(line.intersection(FULL_CIRCLE.shift(1)).shift(-1))
 
 
 def circle_closure(s: IntervalSet) -> IntervalSet:
-    spread = s.shift(-1).union(s).union(s.shift(1)).closure()
-    return unit_canon(spread.intersection(IntervalSet.closed(0, 1)))
+    """Closure on the circle of a bounded line set."""
+    return unit_canon(s.closure())
 
 
 def circle_complement(s: IntervalSet) -> IntervalSet:
-    comp = s.complement(0, 1)
-    out = []
-    for a, ac, b, bc in comp.parts:
-        if a == 1:
-            continue  # the lone point 1 is the circle point 0, handled by [0,..)
-        if b == 1 and bc:
-            out.append((a, ac, b, False))
-        else:
-            out.append((a, ac, b, bc))
-    return IntervalSet.of(out)
+    """Complement on the circle of a set inside [0, 1)."""
+    return s.complement(0, 1).intersection(FULL_CIRCLE)

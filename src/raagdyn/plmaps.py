@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
-from .intervals import IntervalSet, circle_complement, unit_canon
+from .intervals import IntervalSet, circle_closure, circle_complement, unit_canon
 
 
 class DomainMismatchError(ValueError):
@@ -207,7 +207,9 @@ class PLMap:
     """One period of a lift over [0, 1] with F(1) = F(0) + 1.
 
     Subclasses fix the domain: `PLMapInterval` (F(0) = 0) and `PLMapCircle`
-    (F(0) in [0, 1)).
+    (F(0) in [0, 1)).  Each names it in `DOMAIN` and owns every rule that
+    depends on it: `evaluate`, `image`, `closure`, `fixed_set` and `support`
+    act on the subclass's own space.
     """
 
     points: Points
@@ -263,6 +265,8 @@ class PLMap:
 
 
 class PLMapInterval(PLMap):
+    DOMAIN = "I"
+
     @staticmethod
     def _normalize(pts):
         if len(pts) < 2 or pts[0] != (0, 0) or pts[-1] != (1, 1):
@@ -271,6 +275,14 @@ class PLMapInterval(PLMap):
 
     def evaluate(self, x) -> Fraction:
         return _eval_pl(self.xs, self.ys, Fraction(x))
+
+    def image(self, s: IntervalSet) -> IntervalSet:
+        """Exact image of a set inside [0, 1]."""
+        return s.map_endpoints(self.evaluate)
+
+    @staticmethod
+    def closure(s: IntervalSet) -> IntervalSet:
+        return s.closure()
 
     def evaluate_power(self, x, e: int) -> Fraction:
         """x under the e-th power of the map, e of either sign."""
@@ -293,6 +305,8 @@ class PLMapInterval(PLMap):
 
 
 class PLMapCircle(PLMap):
+    DOMAIN = "S1"
+
     @staticmethod
     def _normalize(pts):
         if len(pts) < 2 or pts[0][0] != 0 or pts[-1][0] != 1:
@@ -307,9 +321,18 @@ class PLMapCircle(PLMap):
         a = Fraction(angle)
         return PLMapCircle.from_points([(0, a), (1, a + 1)])
 
-    def evaluate_circle(self, x) -> Fraction:
-        v = self.evaluate_lift(Fraction(x))
+    def evaluate(self, x) -> Fraction:
+        """The circle point f(x) in [0, 1), for x read modulo 1."""
+        v = self.evaluate_lift(x)
         return v - math.floor(v)
+
+    def image(self, s: IntervalSet) -> IntervalSet:
+        """Exact image, inside [0, 1), of a line set read modulo 1."""
+        return unit_canon(s.map_endpoints(self.evaluate_lift))
+
+    @staticmethod
+    def closure(s: IntervalSet) -> IntervalSet:
+        return circle_closure(s)
 
     def fixed_set(self) -> IntervalSet:
         """Circle points with F(x) - x integral, in the fundamental domain."""

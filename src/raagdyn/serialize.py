@@ -44,11 +44,13 @@ def str_to_frac(s: str) -> Fraction:
 
 
 def map_to_obj(m: PLMap) -> dict:
-    domain = "S1" if isinstance(m, PLMapCircle) else "I"
     return {
-        "domain": domain,
+        "domain": m.DOMAIN,
         "points": [[frac_to_str(x), frac_to_str(y)] for x, y in m.points],
     }
+
+
+_MAP_CLASSES = {kind.DOMAIN: kind for kind in (PLMapInterval, PLMapCircle)}
 
 
 def obj_to_map(obj: dict) -> PLMap:
@@ -59,11 +61,8 @@ def obj_to_map(obj: dict) -> PLMap:
         raise PayloadError("a map needs an object whose 'points' is a list of [x, y] pairs")
     pts = [(str_to_frac(x), str_to_frac(y)) for x, y in pts]
     domain = obj.get("domain")
-    if domain == "S1":
-        kind = PLMapCircle
-    elif domain == "I":
-        kind = PLMapInterval
-    else:
+    kind = _MAP_CLASSES.get(domain) if isinstance(domain, str) else None
+    if kind is None:
         raise PayloadError(f"a map's 'domain' must be 'I' or 'S1', got {domain!r}")
     try:
         return kind.from_points(pts)

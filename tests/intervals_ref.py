@@ -97,7 +97,7 @@ FULL_CIRCLE = ((Fraction(0), True, Fraction(1), False),)
 def unit_canon(p) -> tuple:
     out = []
     for a, ac, b, bc in p:
-        if b - a >= 1:
+        if b - a > 1 or (b - a == 1 and (ac or bc)):
             return FULL_CIRCLE
         k = math.floor(a)
         a, b = a - k, b - k

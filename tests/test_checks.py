@@ -5,7 +5,6 @@ import pytest
 
 from raagdyn.checks import (
     HypothesisViolatedError,
-    TwoJumpsData,
     check_c1_containment,
     check_commutator_support,
     check_phi_support,
@@ -138,13 +137,12 @@ def three_block_crossing():
 class TestTwoJumps:
     def test_empty_is_valid(self):
         rng = Random(8)
-        data = TwoJumpsData.of(random_interval_map(rng), random_interval_map(rng), [])
-        report = check_two_jumps_prefix(data)
+        report = check_two_jumps_prefix(random_interval_map(rng), random_interval_map(rng), [])
         assert report.valid and report.gaps == ()
 
     def test_hand_built_blocks(self):
         f, g, triples = three_block_crossing()
-        report = check_two_jumps_prefix(TwoJumpsData.of(f, g, triples))
+        report = check_two_jumps_prefix(f, g, triples)
         assert report.valid
         assert list(report.gaps) == [F(1, 16), F(1, 32), F(1, 64)]
         assert all(g1 > g2 for g1, g2 in zip(report.gaps, report.gaps[1:]))
@@ -154,12 +152,12 @@ class TestTwoJumps:
         bad = list(triples)
         s, t, y = bad[1]
         bad[1] = (s + F(1, 256), t, y)  # s no longer fixed by g
-        report = check_two_jumps_prefix(TwoJumpsData.of(f, g, bad))
+        report = check_two_jumps_prefix(f, g, bad)
         assert not report.valid and report.failures == (1,)
 
     def test_swapped_configuration(self):
         # mirror-image data matches pattern (ii)
         f, g, triples = three_block_crossing()
         swapped = [(t, s, y) for s, t, y in triples]
-        report = check_two_jumps_prefix(TwoJumpsData.of(g, f, swapped))
+        report = check_two_jumps_prefix(g, f, swapped)
         assert report.valid

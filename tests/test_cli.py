@@ -255,13 +255,14 @@ _BUMP_I = {"domain": "I", "points": [["0", "0"], ["1/8", "1/8"], ["3/16", "15/64
         (["verify", "action"], {"maps": {"a": _GOOD_S1, "b": _GOOD_S1, "t": _GOOD_S1}, "x0": "1/2"}),
         (["verify", "two-jumps"], {"maps": {"f": _ID_I, "g": _ID_I}, "triples": [["2", "3", "5"]]}),
         (["verify", "lamplighter"], {"maps": {"g": _BUMP_I, "u": _GOOD_S1}}),
+        (["verify", "two-jumps"], {"maps": {"f": _GOOD_S1, "g": _GOOD_S1}, "triples": [["0", "1/2", "3/2"]]}),
     ],
     ids=[
         "points-int", "zero-den", "top-list", "null-map", "maps-list-rot",
         "maps-list-action", "triple-int", "word-int", "witness-int", "witness-outside",
         "not-increasing", "domain-x", "no-domain", "qmax-0", "word-unparsed", "word-exp-digits",
         "x0-outside", "x0-missing", "a-b-not-commuting", "action-on-circle",
-        "triple-outside", "lamplighter-on-circle",
+        "triple-outside", "lamplighter-on-circle", "triple-outside-circle",
     ],
 )
 def test_malformed_payload_exits_2(tmp_path, capsys, argv, payload):

@@ -97,6 +97,12 @@ class TestCircle:
         assert w.contains(0) and w.contains(F(15, 16)) and w.contains(F(1, 16))
         assert not w.contains(F(1, 2))
 
+    def test_unit_canon_open_period_misses_its_end(self):
+        assert unit_canon(IntervalSet.open(-1, 0)) == IntervalSet.open(0, 1)
+        assert unit_canon(IntervalSet.open(F(1, 3), F(4, 3))) == IntervalSet.of(
+            [(F(0), True, F(1, 3), False), (F(1, 3), False, F(1), False)]
+        )
+
     def test_unit_canon_full(self):
         assert unit_canon(IntervalSet.open(F(1, 3), F(4, 3) + 1)) == FULL_CIRCLE
         assert unit_canon(IntervalSet.of([(F(0), True, F(1), False)])) == FULL_CIRCLE

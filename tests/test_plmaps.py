@@ -222,9 +222,7 @@ class TestGroupStructure:
             g = random_circle_map(rng, grounded=rng.random() < 0.5)
             assert compose(invert(f), f).is_identity()
             x = F(rng.randint(0, 15), 16)
-            assert compose(f, g).evaluate_circle(x) == f.evaluate_circle(
-                g.evaluate_circle(x)
-            )
+            assert compose(f, g).evaluate(x) == f.evaluate(g.evaluate(x))
 
     def test_inversion_is_an_involution(self):
         rng = Random(45)
@@ -279,6 +277,22 @@ class TestSupport:
         )
         supp = m.support()
         assert supp.contains(0) and not supp.contains(F(1, 2))
+
+    def test_support_of_map_fixed_only_at_0_is_invariant(self):
+        # on the lift the support (0, 1) has length exactly 1
+        f = PLMapCircle.from_points([(0, 0), (F(1, 2), F(5, 8)), (1, 1)])
+        assert f.support() == IntervalSet.open(0, 1)
+        assert f.image(f.support()) == f.support()
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32), domain=st.sampled_from(["I", "S1"]))
+    def test_support_is_invariant(self, seed, domain):
+        rng = Random(seed)
+        if domain == "I":
+            f = random_interval_map(rng)
+        else:
+            f = random_circle_map(rng, grounded=rng.random() < 0.5)
+        assert f.image(f.support()) == f.support()
 
 
 class TestGrounded:
