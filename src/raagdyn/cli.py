@@ -70,6 +70,8 @@ def _load_json(path: str) -> dict:
         doc = json.loads(text)
     except ValueError as e:  # a JSONDecodeError, or an integer past the int-to-str digit limit
         raise InputError(f"{path}: invalid JSON: {e}") from e
+    except RecursionError as e:  # the decoder recurses once per nesting level
+        raise InputError(f"{path}: invalid JSON: nested too deeply") from e
     if not isinstance(doc, dict):
         raise InputError(f"{path}: the top-level JSON value must be an object")
     return doc

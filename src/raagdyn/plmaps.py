@@ -13,10 +13,11 @@ plans and of interval maps alike, have one kernel: `bumps_power`.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .intervals import IntervalSet, circle_closure, circle_complement, unit_canon
@@ -30,37 +31,32 @@ Points = tuple[tuple[Fraction, Fraction], ...]
 
 _IDENTITY: Points = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
 
+_X = itemgetter(0)  # a breakpoint's abscissa, the key the breakpoint bisections search on
+
 
 def _canonical(points: list[tuple[Fraction, Fraction]]) -> Points:
-    # drop interior breakpoints where consecutive slopes agree
+    """The breakpoints as a tuple less interior ones where slopes agree; ValueError at the first pair not increasing."""
     out = [points[0]]
-    for i in range(1, len(points) - 1):
+    for i in range(1, len(points)):
+        (x1, y1), (x2, y2) = points[i - 1], points[i]
+        if x2 <= x1:
+            raise ValueError(f"breakpoint abscissae not increasing at x={x2}")
+        if y2 <= y1:
+            raise ValueError(f"breakpoint values not increasing at x={x2}")
+        # keep an interior (x1, y1) unless it is collinear with the last kept point and the next one
         x0, y0 = out[-1]
-        x1, y1 = points[i]
-        x2, y2 = points[i + 1]
-        if (y1 - y0) * (x2 - x1) == (y2 - y1) * (x1 - x0):
-            continue
-        out.append(points[i])
+        if i > 1 and (y1 - y0) * (x2 - x1) != (y2 - y1) * (x1 - x0):
+            out.append(points[i - 1])
     out.append(points[-1])
     return tuple(out)
 
 
-def _check_strictly_increasing(points):
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        if x1 <= x0:
-            raise ValueError(f"breakpoint abscissae not increasing at x={x1}")
-        if y1 <= y0:
-            raise ValueError(f"breakpoint values not increasing at x={x1}")
-
-
-def _eval_pl(xs, ys, x: Fraction) -> Fraction:
-    i = bisect_right(xs, x) - 1
-    if i < 0 or x > xs[-1]:
-        raise ValueError(f"point {x} outside [{xs[0]}, {xs[-1]}]")
-    if i >= len(xs) - 1:
-        i = len(xs) - 2
-    x0, x1 = xs[i], xs[i + 1]
-    y0, y1 = ys[i], ys[i + 1]
+def _eval_pl(pts, x: Fraction) -> Fraction:
+    """The PL function through `pts` at x, for x within their abscissae."""
+    i = min(bisect_right(pts, x, key=_X), len(pts) - 1) - 1  # the last piece holds its right end
+    if i < 0 or x > pts[-1][0]:
+        raise ValueError(f"point {x} outside [{pts[0][0]}, {pts[-1][0]}]")
+    (x0, y0), (x1, y1) = pts[i], pts[i + 1]
     return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
 
@@ -133,9 +129,8 @@ def _invert_lift(pts) -> list[tuple[Fraction, Fraction]]:
     inv = [(y, x) for x, y in pts]
     if inv[0][0] == 0:
         return inv
-    i = next(i for i, (u, _) in enumerate(inv) if u >= 1)
-    (u0, v0), (u1, v1) = inv[i - 1], inv[i]
-    seam = v0 + (v1 - v0) * (1 - u0) / (u1 - u0)
+    i = bisect_left(inv, 1, key=_X)
+    seam = _eval_pl(inv, Fraction(1))
     return (
         [(Fraction(0), seam - 1)]
         + [(u - 1, v - 1) for u, v in inv[i:] if u > 1]
@@ -217,25 +212,16 @@ class PLMap:
     @classmethod
     def from_points(cls, points: Iterable):
         pts = cls._normalize([(Fraction(x), Fraction(y)) for x, y in points])
-        _check_strictly_increasing(pts)
         return cls(_canonical(pts))
 
     @classmethod
     def identity(cls):
         return cls(_IDENTITY)
 
-    @property
-    def xs(self):
-        return [p[0] for p in self.points]
-
-    @property
-    def ys(self):
-        return [p[1] for p in self.points]
-
     def evaluate_lift(self, x) -> Fraction:
         x = Fraction(x)
         k = math.floor(x)
-        return _eval_pl(self.xs, self.ys, x - k) + k
+        return _eval_pl(self.points, x - k) + k
 
     def is_identity(self) -> bool:
         return self.points == _IDENTITY
@@ -274,7 +260,7 @@ class PLMapInterval(PLMap):
         return pts
 
     def evaluate(self, x) -> Fraction:
-        return _eval_pl(self.xs, self.ys, Fraction(x))
+        return _eval_pl(self.points, Fraction(x))
 
     def image(self, s: IntervalSet) -> IntervalSet:
         """Exact image of a set inside [0, 1]."""
@@ -362,12 +348,13 @@ def invert(f: PLMap) -> PLMap:
 
 
 def power(f: PLMap, n: int) -> PLMap:
+    """f^n by repeated squaring: at most 2 floor(log2 |n|) compositions, one inversion for n < 0."""
     if n < 0:
-        return power(invert(f), -n)
-    out = f.identity()
-    for _ in range(n):
-        out = compose(out, f)
-    return out
+        f, n = invert(f), -n
+    if n <= 1:
+        return f if n else f.identity()
+    half = power(compose(f, f), n // 2)
+    return compose(half, f) if n & 1 else half
 
 
 def commutator(f: PLMap, g: PLMap) -> PLMap:

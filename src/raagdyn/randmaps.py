@@ -99,15 +99,13 @@ def random_rotation_conjugate(
     return compose(compose(h, rot), invert(h)), Fraction(p, q)
 
 
-def random_disjoint_pair(rng: Random, domain: str = "I"):
-    """Two maps c, d with disjoint supports split around a random point."""
+def random_disjoint_pair(rng: Random):
+    """Two interval maps c, d with disjoint supports split around a random point."""
     d16 = rng.randint(5, 11)
     split = Fraction(d16, 16)
     pad = Fraction(1, 32)
     c = random_bump(rng, pad, split - pad)
     d = random_bump(rng, split + pad, 1 - pad)
-    if domain == "S1":
-        return _bump_to_circle(c), _bump_to_circle(d)
     return c, d
 
 
@@ -143,7 +141,7 @@ def random_phi_triple(rng: Random, domain: str = "I"):
     supp d across into supp c, or a wide bump straddling the split, so the
     commutator [c, b d b^-1] is mostly nontrivial.
     """
-    ci, di = random_disjoint_pair(rng, "I")
+    ci, di = random_disjoint_pair(rng)
     c, d = (_bump_to_circle(ci), _bump_to_circle(di)) if domain == "S1" else (ci, di)
     mode = rng.random()
     if mode < 0.34:

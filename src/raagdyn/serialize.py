@@ -39,7 +39,7 @@ class PayloadError(ValueError):
 def str_to_frac(s: str) -> Fraction:
     try:
         return Fraction(s)
-    except (TypeError, ValueError, ZeroDivisionError) as e:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as e:  # OverflowError: a JSON Infinity
         raise PayloadError(f"not a rational: {s!r}") from e
 
 

@@ -54,7 +54,8 @@ def _bumps_power(bumps, e: int, x: tuple[int, int]) -> tuple[int, int]:
 
 def _map_power(m: PLMapInterval, e: int, x: Fraction) -> Fraction:
     """x under m^e: one affine step at a time, one jump across a slope-1 piece."""
-    xs, ys = (m.xs, m.ys) if e > 0 else (m.ys, m.xs)
+    xs, ys = [p[0] for p in m.points], [p[1] for p in m.points]
+    xs, ys = (xs, ys) if e > 0 else (ys, xs)
     if not xs[0] <= x <= xs[-1]:
         raise ValueError(f"point {x} outside [{xs[0]}, {xs[-1]}]")
     e, last = abs(e), len(xs) - 2

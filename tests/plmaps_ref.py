@@ -5,15 +5,82 @@ sweep, the F^q loop and the sign analysis that raagdyn.plmaps replaced with
 integer numerators and denominators.  Tests compare the integer code against
 them for exact equality: the same breakpoints in the same order, the same
 rotation result, the same fixed-set parts.
+
+`check_strictly_increasing` then `canonical`, `eval_pl` and `invert_lift`
+are the two-pass breakpoint check, the interpolator on separate abscissa and
+value lists, and the inversion with its own seam interpolation, verbatim but
+for their names, that raagdyn.plmaps folded into one checker and one reader;
+`power_stepwise` is the one-composition-at-a-time power that repeated
+squaring replaced.  Tests compare against them for the same tuples, values
+and error messages.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import intervals_ref
-from raagdyn.plmaps import PLMapCircle, RotationResult
+from raagdyn.plmaps import PLMapCircle, RotationResult, compose, invert
+
+
+def canonical(points: list[tuple[Fraction, Fraction]]):
+    # drop interior breakpoints where consecutive slopes agree
+    out = [points[0]]
+    for i in range(1, len(points) - 1):
+        x0, y0 = out[-1]
+        x1, y1 = points[i]
+        x2, y2 = points[i + 1]
+        if (y1 - y0) * (x2 - x1) == (y2 - y1) * (x1 - x0):
+            continue
+        out.append(points[i])
+    out.append(points[-1])
+    return tuple(out)
+
+
+def check_strictly_increasing(points):
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        if x1 <= x0:
+            raise ValueError(f"breakpoint abscissae not increasing at x={x1}")
+        if y1 <= y0:
+            raise ValueError(f"breakpoint values not increasing at x={x1}")
+
+
+def eval_pl(xs, ys, x: Fraction) -> Fraction:
+    i = bisect_right(xs, x) - 1
+    if i < 0 or x > xs[-1]:
+        raise ValueError(f"point {x} outside [{xs[0]}, {xs[-1]}]")
+    if i >= len(xs) - 1:
+        i = len(xs) - 2
+    x0, x1 = xs[i], xs[i + 1]
+    y0, y1 = ys[i], ys[i + 1]
+    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+
+def invert_lift(pts) -> list[tuple[Fraction, Fraction]]:
+    inv = [(y, x) for x, y in pts]
+    if inv[0][0] == 0:
+        return inv
+    i = next(i for i, (u, _) in enumerate(inv) if u >= 1)
+    (u0, v0), (u1, v1) = inv[i - 1], inv[i]
+    seam = v0 + (v1 - v0) * (1 - u0) / (u1 - u0)
+    return (
+        [(Fraction(0), seam - 1)]
+        + [(u - 1, v - 1) for u, v in inv[i:] if u > 1]
+        + inv[1:i]
+        + [(Fraction(1), seam)]
+    )
+
+
+def power_stepwise(f, n: int):
+    """f^n as |n| compositions, one factor at a time."""
+    if n < 0:
+        return power_stepwise(invert(f), -n)
+    out = f.identity()
+    for _ in range(n):
+        out = compose(out, f)
+    return out
 
 
 def compose_lifts(fpts, gpts) -> list[tuple[Fraction, Fraction]]:

@@ -279,8 +279,14 @@ def test_malformed_payload_exits_2(tmp_path, capsys, argv, payload):
         (["rot"], b"\xff\xfe not UTF-8"),
         (["rot"], b'{"domain": "S1", "points": ' + b"1" * 5000 + b"}"),
         (["classify"], b"# comments only: no vertex\n"),
+        (["rot"], b'{"domain":"S1","points":[["0","1/3"],[Infinity,"4/3"]]}'),
+        (["verify", "two-jumps"],
+         json.dumps({"maps": {"f": _ID_I, "g": _ID_I}, "triples": [["0", float("-inf"), "1/2"]]}).encode()),
+        (["rot"], b"[" * 100_000 + b"]" * 100_000),
+        (["verify", "c1"], b'{"maps": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"),
     ],
-    ids=["not-utf8", "json-int-digits", "empty-graph"],
+    ids=["not-utf8", "json-int-digits", "empty-graph", "json-infinity", "json-minus-infinity",
+         "json-deep-array", "json-deep-maps"],
 )
 def test_unusable_input_file_exits_2(tmp_path, capsys, argv, data):
     p = tmp_path / "bad"
@@ -288,6 +294,13 @@ def test_unusable_input_file_exits_2(tmp_path, capsys, argv, data):
     rc, _ = run(tmp_path, *argv, "--input", str(p))
     assert rc == 2
     assert "type" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_deep_json_names_its_nesting(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_bytes(b"[" * 100_000 + b"]" * 100_000)
+    assert run(tmp_path, "rot", "--input", str(p))[0] == 2
+    assert json.loads(capsys.readouterr().err)["error"]["message"] == f"{p}: invalid JSON: nested too deeply"
 
 
 @pytest.mark.parametrize("exc", [ValueError, KeyError])
@@ -518,7 +531,8 @@ class TestParserReuse:
 _VERTICES = st.sampled_from(["1", "2", "3", "4", "5", "a", "b"])
 _JUNK = st.sampled_from(["vertex", "graph", "strict", "--", "#", "{", "}", ";", "//", "x y z", ""])
 _FRACS = st.sampled_from(["0", "1", "1/2", "1/3", "2/3", "3/4", "4/3", "3/2", "-1", "1/0", "x", "", "2"])
-_JSON_LEAF = _FRACS | st.integers(-3, 3) | st.none() | st.booleans() | st.just([]) | st.just({})
+_JSON_LEAF = (_FRACS | st.integers(-3, 3) | st.none() | st.booleans() | st.just([]) | st.just({})
+              | st.sampled_from([float("inf"), float("-inf"), float("nan")]))
 
 
 @st.composite

@@ -1,19 +1,24 @@
 import functools
 import hashlib
+import math
 from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import plmaps_ref as ref
+import raagdyn.plmaps
+from raagdyn.actions import build_separating_action
 from raagdyn.intervals import IntervalSet
 from raagdyn.plmaps import (
     DomainMismatchError,
     PLMapCircle,
     PLMapInterval,
+    _canonical,
     _compose_lifts,
+    _invert_lift,
     commutator,
     compose,
     invert,
@@ -470,6 +475,144 @@ class TestAgainstFractionReference:
         f = PLMapCircle.from_points(ref.periodic_points(rng, rng.randrange(q), q))
         for n in (1, q, q + 1):  # f^q is an integer shift of the identity on the lift
             self.assert_fixed_set_matches(power(f, n))
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+@st.composite
+def raw_breakpoints(draw):
+    """(map class, point list): increasing lists, lists with collinear runs, lists with pairs that do not increase."""
+    kind = draw(st.sampled_from([PLMapInterval, PLMapCircle]))
+    d = draw(st.sampled_from([4, 8, 12]))
+    f0 = F(draw(st.integers(0, d - 1)), d) if kind is PLMapCircle else F(0)
+    count = draw(st.integers(0, d - 1))
+    xs = sorted(draw(st.lists(st.integers(1, d - 1), min_size=count, max_size=count, unique=True)))
+    ys = sorted(draw(st.lists(st.integers(1, 4 * d - 1), min_size=count, max_size=count, unique=True)))
+    pts = [(F(0), f0)] + [(F(x, d), f0 + F(y, 4 * d)) for x, y in zip(xs, ys)] + [(F(1), f0 + 1)]
+    out = [pts[0]]
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):  # runs of 0 to 2 points inside a segment
+        k = draw(st.integers(0, 2))
+        out += [(x0 + (x1 - x0) * j / (k + 1), y0 + (y1 - y0) * j / (k + 1)) for j in range(1, k + 1)]
+        out.append((x1, y1))
+    for _ in range(draw(st.integers(0, 2)) if len(out) > 2 else 0):
+        # one interior coordinate repeats a neighbour's or passes it
+        i = draw(st.integers(1, len(out) - 2))
+        c = draw(st.integers(0, 1))
+        step = draw(st.sampled_from([0, F(1, 4 * d), F(1, 2)]))
+        j = draw(st.sampled_from([i - 1, i + 1]))
+        v = out[j][c] + (step if j > i else -step)
+        out[i] = (v, out[i][1]) if c == 0 else (out[i][0], v)
+    return kind, out
+
+
+def _reference_value(m, x, lift):
+    """The parent's `evaluate_lift` (lift true) or interval `evaluate` at x, through the reference interpolator."""
+    xs, ys = [p[0] for p in m.points], [p[1] for p in m.points]
+    if not lift:
+        return ref.eval_pl(xs, ys, x)
+    k = math.floor(x)
+    return ref.eval_pl(xs, ys, x - k) + k
+
+
+def _seeded_maps():
+    """`_wide_map` lifts of both kinds and seeded interval and circle maps."""
+    rng = Random(97)
+    maps = [PLMapInterval.from_points(_wide_map(rng, F(0))), PLMapCircle.from_points(_wide_map(rng, F(2, 7)))]
+    maps += [random_interval_map(Random(seed)) for seed in range(12)]
+    return maps + [random_circle_map(Random(seed), grounded=seed % 2 == 0) for seed in range(12)]
+
+
+@st.composite
+def seam_circle_maps(draw, on_breakpoint):
+    """Circle maps with F(0) in (0, 1) whose F^-1(1) is a breakpoint, or falls strictly inside a segment."""
+    d = 24
+    f0 = F(draw(st.integers(1, d - 1)), d)
+    below = [F(v, 4 * d) for v in draw(st.lists(st.integers(int(4 * d * f0) + 1, 4 * d - 1), max_size=3, unique=True))]
+    above = [F(v, 4 * d) for v in draw(st.lists(st.integers(4 * d + 1, int(4 * d * (f0 + 1)) - 1),
+                                               max_size=3, unique=True))]
+    ys = sorted(below) + ([F(1)] if on_breakpoint else []) + sorted(above)
+    xs = sorted(draw(st.lists(st.integers(1, d - 1), min_size=len(ys), max_size=len(ys), unique=True)))
+    f = PLMapCircle.from_points([(F(0), f0)] + [(F(x, d), y) for x, y in zip(xs, ys)] + [(F(1), f0 + 1)])
+    assume(any(y == 1 for _, y in f.points) == on_breakpoint)  # a collinear breakpoint at 1 is dropped
+    return f
+
+
+class TestBreakpointReader:
+    """The one-pass checker, the bisecting reader and the inverse's seam match the parent code they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_breakpoints())
+    @example((PLMapInterval, [(F(0), F(0)), (F(1, 4), F(1, 2)), (F(1, 2), F(1, 2)), (F(1, 2), F(3, 4)), (F(1), F(1))]))
+    def test_canonical_matches_two_pass_check(self, raw):
+        kind, pts = raw
+
+        def two_pass(pts):
+            pts = kind._normalize(pts)
+            ref.check_strictly_increasing(pts)
+            return ref.canonical(pts)
+
+        want = _outcome(two_pass, list(pts))
+        assert _outcome(lambda pts: _canonical(kind._normalize(pts)), list(pts)) == want
+        assert _outcome(lambda pts: kind.from_points(pts).points, pts) == want
+
+    @pytest.mark.parametrize("m", _seeded_maps(), ids=lambda m: f"{m.DOMAIN}-{len(m.points)}")
+    def test_evaluate_matches_reference(self, m):
+        xs = [p[0] for p in m.points]
+        probes = xs + [F(0), F(1), xs[-1], F(-1, 3), F(-2), F(4, 3), F(7, 2), F(1, 3), F(999, 1000)]
+        for x in probes:
+            assert _outcome(m.evaluate_lift, x) == _outcome(_reference_value, m, x, True)
+            if m.DOMAIN == "I":
+                assert _outcome(m.evaluate, x) == _outcome(_reference_value, m, x, False)
+            else:
+                v = _reference_value(m, x, True)
+                assert m.evaluate(x) == v - math.floor(v)
+
+    @pytest.mark.parametrize("on_breakpoint", [True, False], ids=["seam-on-breakpoint", "seam-in-segment"])
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_invert_at_the_seam(self, on_breakpoint, data):
+        f = data.draw(seam_circle_maps(on_breakpoint))
+        assert _invert_lift(f.points) == ref.invert_lift(f.points)
+        g = invert(f)
+        assert compose(f, g).is_identity() and compose(g, f).is_identity()
+
+
+class TestPower:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_stepwise_product(self, seed):
+        rng = Random(seed)
+        for f in (random_interval_map(rng), random_circle_map(rng, grounded=seed % 2 == 1)):
+            for n in range(-9, 21):
+                assert power(f, n) == ref.power_stepwise(f, n)
+
+    @pytest.mark.parametrize("n", [*range(-9, 21), 64, 255, 1000, -1023])
+    def test_composes_at_most_twice_log_n(self, monkeypatch, n):
+        calls = {"compose": 0, "invert": 0}
+        for name in calls:
+            real = getattr(raagdyn.plmaps, name)
+
+            def counted(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(raagdyn.plmaps, name, counted)
+        f = random_circle_map(Random(n % 7), grounded=True)
+        power(f, n)
+        assert calls["compose"] <= (2 * (abs(n).bit_length() - 1) if n else 0)
+        assert calls["invert"] == (n < 0)
+
+    def test_thousandth_power_of_a_plan_map(self):
+        a = build_separating_action("a t").a
+        for n in (1000, -1000):
+            an = power(a, n)
+            for x in (F(0), F(1, 3), F(1, 2), F(5, 7), F(1)):
+                assert an.evaluate(x) == a.evaluate_power(x, n)
 
 
 class TestRandomMapStreams:
