@@ -185,8 +185,6 @@ def _verify_phi_supp(args, payload):
 
 
 def _verify_c1(args, payload):
-    if payload is None:
-        raise InputError("c1 check needs --input with maps b, c, d")
     b, c, d = serialize.payload_maps(payload, "bcd")
     report = check_c1_containment(b, c, d)
     detail = {
@@ -198,8 +196,6 @@ def _verify_c1(args, payload):
 
 
 def _verify_two_jumps(args, payload):
-    if payload is None:
-        raise InputError("two-jumps check needs --input with maps f, g and triples")
     f, g = serialize.payload_maps(payload, "fg")
     triples = serialize.payload_list(
         payload, "triples", lambda t: isinstance(t, list) and len(t) == 3, "[s, t, y] lists"
@@ -219,11 +215,7 @@ def _verify_two_jumps(args, payload):
 
 
 def _verify_lamplighter(args, payload):
-    if payload is None:
-        raise InputError("lamplighter check needs --input with maps g, u")
-    g, u = serialize.payload_maps(payload, "gu")
-    if not (isinstance(g, PLMapInterval) and isinstance(u, PLMapInterval)):
-        raise PayloadError("lamplighter check needs interval maps g, u (domain I)")
+    g, u = serialize.payload_maps(payload, "gu", PLMapInterval)
     cert = lamplighter_certificate(g, u)
     if cert is None:
         return False, {"certified": False}
@@ -236,8 +228,6 @@ def _verify_lamplighter(args, payload):
 
 
 def _verify_action(args, payload):
-    if payload is None:
-        raise InputError("action check needs --input with an action bundle")
     asg = serialize.obj_to_assignment(payload)
     try:
         asg.validate()
@@ -283,6 +273,8 @@ def cmd_verify(args) -> int:
         raise InputError(
             f"--seed and --samples apply only to {' and '.join(_SAMPLED_CHECKS)} without --input"
         )
+    elif payload is None:
+        raise InputError(f"{args.check} check needs --input")
     passed, detail = _CHECKS[args.check](args, payload)
     doc = {
         "version": serialize.SCHEMA_VERSION,
@@ -303,9 +295,8 @@ def cmd_rot(args) -> int:
     if args.qmax < 1:
         raise InputError(f"--qmax must be at least 1, got {args.qmax}")
     payload = _load_json(args.input)
-    m = serialize.payload_maps(payload, "f")[0] if "maps" in payload else serialize.obj_to_map(payload)
-    if not isinstance(m, PLMapCircle):
-        raise InputError("rotation numbers need a circle map (domain S1)")
+    m = (serialize.payload_maps(payload, "f", PLMapCircle)[0] if "maps" in payload
+         else serialize.obj_to_map(payload, PLMapCircle))
     res = rotation_number(m, q_max=args.qmax)
     doc = {
         "version": serialize.SCHEMA_VERSION,

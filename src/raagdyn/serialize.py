@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import sys
@@ -37,9 +38,12 @@ class PayloadError(ValueError):
 
 
 def str_to_frac(s: str) -> Fraction:
+    """The rational a "p/q" string names; a JSON number or boolean is refused, never rounded."""
+    if not isinstance(s, str):
+        raise PayloadError(f'a rational must be a "p/q" string, got {s!r}')
     try:
         return Fraction(s)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as e:  # OverflowError: a JSON Infinity
+    except (ValueError, ZeroDivisionError) as e:
         raise PayloadError(f"not a rational: {s!r}") from e
 
 
@@ -53,7 +57,8 @@ def map_to_obj(m: PLMap) -> dict:
 _MAP_CLASSES = {kind.DOMAIN: kind for kind in (PLMapInterval, PLMapCircle)}
 
 
-def obj_to_map(obj: dict) -> PLMap:
+def obj_to_map(obj: dict, kind: type[PLMap] = PLMap) -> PLMap:
+    """The map an object holds; its 'domain' must name a `kind`."""
     pts = obj.get("points") if isinstance(obj, dict) else None
     if not isinstance(pts, list) or not all(
         isinstance(p, list) and len(p) == 2 for p in pts
@@ -61,21 +66,22 @@ def obj_to_map(obj: dict) -> PLMap:
         raise PayloadError("a map needs an object whose 'points' is a list of [x, y] pairs")
     pts = [(str_to_frac(x), str_to_frac(y)) for x, y in pts]
     domain = obj.get("domain")
-    kind = _MAP_CLASSES.get(domain) if isinstance(domain, str) else None
-    if kind is None:
-        raise PayloadError(f"a map's 'domain' must be 'I' or 'S1', got {domain!r}")
+    cls = _MAP_CLASSES.get(domain) if isinstance(domain, str) else None
+    if cls is None or not issubclass(cls, kind):
+        allowed = " or ".join(repr(d) for d, c in _MAP_CLASSES.items() if issubclass(c, kind))
+        raise PayloadError(f"a map's 'domain' must be {allowed}, got {domain!r}")
     try:
-        return kind.from_points(pts)
+        return cls.from_points(pts)
     except ValueError as e:  # the points are not one period of an increasing lift
         raise PayloadError(f"{domain} map: {e}") from e
 
 
-def payload_maps(payload: dict, keys) -> list[PLMap]:
-    """The maps named by `keys` in the payload's `maps` object."""
+def payload_maps(payload: dict, keys, kind: type[PLMap] = PLMap) -> list[PLMap]:
+    """The maps named by `keys` in the payload's `maps` object, each a `kind`."""
     maps = payload.get("maps")
     if not isinstance(maps, dict) or not all(k in maps for k in keys):
         raise PayloadError(f"'maps' must be an object holding maps {', '.join(keys)}")
-    return [obj_to_map(maps[k]) for k in keys]
+    return [obj_to_map(maps[k], kind) for k in keys]
 
 
 def payload_list(payload: dict, key: str, item_ok=lambda s: isinstance(s, str), what="strings") -> list:
@@ -107,9 +113,7 @@ def assignment_to_obj(asg: ActionAssignment) -> dict:
 
 
 def obj_to_assignment(obj: dict) -> ActionAssignment:
-    a, b, t = payload_maps(obj, "abt")
-    if not all(isinstance(m, PLMapInterval) for m in (a, b, t)):
-        raise PayloadError("an action's maps a, b, t must be interval maps (domain I)")
+    a, b, t = payload_maps(obj, "abt", PLMapInterval)
     return ActionAssignment(a=a, b=b, t=t, basepoint=str_to_frac(obj.get("x0")))
 
 
@@ -131,13 +135,17 @@ def obj_to_graph(obj: dict) -> SimplicialGraph:
     return SimplicialGraph.build(obj["vertices"], [tuple(e) for e in obj["edges"]])
 
 
+def _fields(x) -> Union[dict, None]:
+    """A dataclass's fields by name, shallow: its field names are its JSON keys."""
+    return None if x is None else {f.name: getattr(x, f.name) for f in dataclasses.fields(x)}
+
+
 def classification_to_obj(
     g: SimplicialGraph,
     cls: Classification,
     witness: Union[EmbeddingWitness, None] = None,
 ) -> dict:
-    verdict = cls.verdict
-    doc = {
+    return {
         "version": SCHEMA_VERSION,
         "kind": "classification",
         "graph": graph_to_obj(g),
@@ -145,23 +153,9 @@ def classification_to_obj(
         "level": cls.level,
         "cotree": cls.cotree.to_nested() if cls.cotree is not None else None,
         "p4_witness": list(cls.p4_witness) if cls.p4_witness else None,
-        "verdict": {
-            "c1": verdict.c1,
-            "c1bv": verdict.c1bv,
-            "c_infinity": verdict.c_infinity,
-            "c_omega": verdict.c_omega,
-            "circle_class": verdict.circle_class,
-        },
-        "witness": None,
+        "verdict": _fields(cls.verdict),
+        "witness": _fields(witness),
     }
-    if witness is not None:
-        doc["witness"] = {
-            "kind": witness.kind,
-            "vertices": list(witness.vertices),
-            "words": list(witness.words),
-            "group": witness.group,
-        }
-    return doc
 
 
 def rotation_to_obj(res: RotationResult) -> dict:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -228,6 +229,9 @@ _ACTION = {"maps": {"a": _ID_I, "b": _ID_I, "t": _ID_I}, "x0": "1/2"}
 _UP_I = {"domain": "I", "points": [["0", "0"], ["1/4", "1/2"], ["1", "1"]]}
 _DOWN_I = {"domain": "I", "points": [["0", "0"], ["1/2", "1/4"], ["1", "1"]]}
 _BUMP_I = {"domain": "I", "points": [["0", "0"], ["1/8", "1/8"], ["3/16", "15/64"], ["1/4", "1/4"], ["1", "1"]]}
+# the malformed-payload cases below that fail outside `serialize`'s readers, with the type they raise
+_NOT_PAYLOAD_ERRORS = {"top-list": "InputError", "qmax-0": "InputError",
+                       "word-unparsed": "WordParseError", "word-exp-digits": "WordParseError"}
 
 
 @pytest.mark.parametrize(
@@ -256,6 +260,12 @@ _BUMP_I = {"domain": "I", "points": [["0", "0"], ["1/8", "1/8"], ["3/16", "15/64
         (["verify", "two-jumps"], {"maps": {"f": _ID_I, "g": _ID_I}, "triples": [["2", "3", "5"]]}),
         (["verify", "lamplighter"], {"maps": {"g": _BUMP_I, "u": _GOOD_S1}}),
         (["verify", "two-jumps"], {"maps": {"f": _GOOD_S1, "g": _GOOD_S1}, "triples": [["0", "1/2", "3/2"]]}),
+        (["rot"], {"domain": "S1", "points": [[0, 0.5], [1, 1.5]]}),
+        (["rot"], {"domain": "S1", "points": [[False, "1/2"], [True, "3/2"]]}),
+        (["verify", "action"], {**_ACTION, "x0": 0.5}),
+        (["verify", "two-jumps"], {"maps": {"f": _ID_I, "g": _ID_I}, "triples": [[0, "1/2", "1"]]}),
+        (["verify", "action"], {**_ACTION, "words": ["t"], "witnesses": [0.5]}),
+        (["rot"], {"maps": {"f": _ID_I}}),
     ],
     ids=[
         "points-int", "zero-den", "top-list", "null-map", "maps-list-rot",
@@ -263,14 +273,16 @@ _BUMP_I = {"domain": "I", "points": [["0", "0"], ["1/8", "1/8"], ["3/16", "15/64
         "not-increasing", "domain-x", "no-domain", "qmax-0", "word-unparsed", "word-exp-digits",
         "x0-outside", "x0-missing", "a-b-not-commuting", "action-on-circle",
         "triple-outside", "lamplighter-on-circle", "triple-outside-circle",
+        "points-number", "points-bool", "x0-number", "triple-number", "witness-number", "rot-maps-interval",
     ],
 )
-def test_malformed_payload_exits_2(tmp_path, capsys, argv, payload):
+def test_malformed_payload_exits_2(tmp_path, capsys, request, argv, payload):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(payload))
     rc, _ = run(tmp_path, *argv, "--input", str(p))
     assert rc == 2
-    assert "type" in json.loads(capsys.readouterr().err)["error"]
+    kind = json.loads(capsys.readouterr().err)["error"]["type"]
+    assert kind == _NOT_PAYLOAD_ERRORS.get(request.node.callspec.id, "PayloadError")
 
 
 @pytest.mark.parametrize(
@@ -330,11 +342,13 @@ class TestRot:
         doc = json.loads(text)
         assert rc == 0 and doc["result"]["kind"] == "bounds"
 
-    def test_interval_map_rejected(self, tmp_path):
+    def test_interval_map_rejected(self, tmp_path, capsys):
         p = tmp_path / "m.json"
         p.write_text(json.dumps({"domain": "I", "points": [["0", "0"], ["1", "1"]]}))
         rc, _ = run(tmp_path, "rot", "--input", str(p))
         assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "PayloadError", "message": "a map's 'domain' must be 'S1', got 'I'"}
 
 
 # the commands of the README's CLI block; realize prints to stdout here, and
@@ -576,8 +590,8 @@ _CHECK_KEYS = {"comm-supp": "fg", "phi-supp": "bcd", "c1": "bcd", "two-jumps": "
 
 
 @st.composite
-def _map_json(draw):
-    """A command and a payload for it, sometimes with one field replaced by junk."""
+def _map_json(draw, junk=True):
+    """A command and a payload for it, with `junk` sometimes one field replaced by junk."""
     check = draw(st.sampled_from(["rot", *_CHECK_KEYS]))
     rng = Random(draw(st.integers(0, 10 ** 6)))
     if check == "rot":
@@ -593,7 +607,7 @@ def _map_json(draw):
     if check == "action":
         doc["x0"] = draw(st.sampled_from(["1/2", "1/7", "0"]))
         doc["words"] = draw(st.lists(st.sampled_from(["t", "a t^-1", "b^2 t a^-1", "a b"]), max_size=3))
-    if draw(st.integers(0, 2)) == 0:  # break one field, one level down
+    if junk and draw(st.integers(0, 2)) == 0:  # break one field, one level down
         target = doc.get("maps", doc)
         key = draw(st.sampled_from(sorted(target)))
         if isinstance(target[key], dict) and draw(st.booleans()):
@@ -601,6 +615,16 @@ def _map_json(draw):
             key = draw(st.sampled_from(["points", "domain"]))
         target[key] = draw(_JSON_LEAF | st.lists(st.lists(_FRACS, min_size=2, max_size=2), max_size=3))
     return argv, doc
+
+
+def _rational_slots(doc):
+    """(container, key) of every "p/q" string in a payload that `_map_json` built."""
+    maps = doc["maps"].values() if "maps" in doc else [doc]
+    slots = [(pair, j) for m in maps for pair in m["points"] for j in (0, 1)]
+    slots += [(t, j) for t in doc.get("triples", []) for j in range(3)]
+    if "x0" in doc:
+        slots.append((doc, "x0"))
+    return slots
 
 
 _FUZZ = settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -638,6 +662,20 @@ class TestReaderFuzz:
     def test_map_json_reader(self, fuzz_dir, case, fmt):
         argv, doc = case
         self.exits_cleanly(fuzz_dir, [*argv, "--format", fmt], json.dumps(doc))
+
+    @_FUZZ
+    @given(case=_map_json(junk=False), data=st.data())
+    def test_number_for_a_rational_exits_2(self, fuzz_dir, case, data):
+        """One "p/q" string of a well-formed payload written as a JSON number or boolean."""
+        argv, doc = case
+        target, key = data.draw(st.sampled_from(_rational_slots(doc)))
+        value = Fraction(target[key])
+        target[key] = data.draw(st.sampled_from([int(value) if value.denominator == 1 else float(value), True, False]))
+        p = fuzz_dir / "input"
+        p.write_text(json.dumps(doc))
+        rc, _, err = _run_here([*argv, "--input", str(p)])
+        assert rc == 2
+        assert json.loads(err)["error"]["message"].startswith('a rational must be a "p/q" string, got ')
 
     @_FUZZ
     @given(data=st.binary(max_size=40) | st.text(max_size=40),

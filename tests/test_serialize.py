@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from random import Random
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graph_enum import all_classes_up_to, as_simplicial
 from raagdyn.actions import build_faithful_on, build_separating_action
 from raagdyn.cotree import classify, witness
 from raagdyn.graphs import disjoint_union, path_graph, single_vertex
@@ -21,6 +23,7 @@ from raagdyn.serialize import (
     obj_to_graph,
     obj_to_map,
     graph_to_obj,
+    PayloadError,
     str_to_frac,
 )
 
@@ -32,6 +35,14 @@ def test_fraction_strings():
     assert frac_to_str(F(2)) == "2"
     assert str_to_frac("7/4") == F(7, 4)
     assert str_to_frac("0") == 0
+    assert str_to_frac("0.5") == F(1, 2)
+    assert str_to_frac("3") == 3
+
+
+@pytest.mark.parametrize("value", [0.5, True, 3, None])
+def test_rational_must_be_a_string(value):
+    with pytest.raises(PayloadError, match='must be a "p/q" string'):
+        str_to_frac(value)
 
 
 def test_map_roundtrip_bit_exact():
@@ -87,6 +98,23 @@ def test_classification_document():
     g2 = path_graph("123")
     doc2 = classification_to_obj(g2, classify(g2))
     assert doc2["level"] == 3 and doc2["cotree"][0] == "join"
+
+
+def test_classification_documents_pinned():
+    """Every classification document through 6 vertices, and each witness document, byte for byte."""
+    h = hashlib.sha256()
+    count = 0
+    for n, edges in all_classes_up_to(6):
+        g = as_simplicial(n, edges)
+        cls = classify(g)
+        docs = [classification_to_obj(g, cls)]
+        if not cls.verdict.c1bv:
+            docs.append(classification_to_obj(g, cls, witness(g)))
+        for doc in docs:
+            h.update(dumps_doc(doc).encode())
+        count += len(docs)
+    assert count == 348
+    assert h.hexdigest() == "5817f155d0343afa8a0834e74892324c06cdd6735b24a295189ee4969288f569"
 
 
 def test_dumps_deterministic():
