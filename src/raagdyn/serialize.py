@@ -38,8 +38,11 @@ class PayloadError(ValueError):
 
 
 def str_to_frac(s: str) -> Fraction:
-    """The rational a "p/q" string names; a JSON number or boolean is refused, never rounded."""
-    if not isinstance(s, str):
+    """The rational a "p/q" string names; a JSON number or boolean is refused, never rounded.
+
+    Exponent notation is refused too: "1e4000000" names a 4,000,001-digit integer.
+    """
+    if not isinstance(s, str) or "e" in s or "E" in s:
         raise PayloadError(f'a rational must be a "p/q" string, got {s!r}')
     try:
         return Fraction(s)

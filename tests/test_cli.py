@@ -266,6 +266,8 @@ _NOT_PAYLOAD_ERRORS = {"top-list": "InputError", "qmax-0": "InputError",
         (["verify", "two-jumps"], {"maps": {"f": _ID_I, "g": _ID_I}, "triples": [[0, "1/2", "1"]]}),
         (["verify", "action"], {**_ACTION, "words": ["t"], "witnesses": [0.5]}),
         (["rot"], {"maps": {"f": _ID_I}}),
+        (["rot"], {"domain": "S1", "points": [["0", "1e4000000"], ["1", "1/2"]]}),
+        (["verify", "action"], {"maps": {"a": _UP_I, "b": _BUMP_I, "t": _ID_I}, "x0": "1/2"}),
     ],
     ids=[
         "points-int", "zero-den", "top-list", "null-map", "maps-list-rot",
@@ -274,6 +276,7 @@ _NOT_PAYLOAD_ERRORS = {"top-list": "InputError", "qmax-0": "InputError",
         "x0-outside", "x0-missing", "a-b-not-commuting", "action-on-circle",
         "triple-outside", "lamplighter-on-circle", "triple-outside-circle",
         "points-number", "points-bool", "x0-number", "triple-number", "witness-number", "rot-maps-interval",
+        "rational-exponent", "a-b-commutator-nontrivial",
     ],
 )
 def test_malformed_payload_exits_2(tmp_path, capsys, request, argv, payload):
@@ -476,6 +479,16 @@ class TestFileErrors:
         err = json.loads(capsys.readouterr().err)["error"]
         assert rc == 2 and err["type"] == "InputError"
         assert err["message"].startswith(f"cannot write {out}: ")
+
+    @pytest.mark.parametrize("argv, message", [
+        *[([cmd], "--input is required for this command") for cmd in ("classify", "witness", "realize", "rot")],
+        (["rot", "--qmax", "0"], "--input is required for this command"),
+        *[(["verify", check], f"{check} check needs --input") for check in ("c1", "two-jumps", "lamplighter", "action")],
+    ])
+    def test_missing_input_exits_2(self, tmp_path, capsys, argv, message):
+        rc, text = run(tmp_path, *argv)
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert rc == 2 and text == "" and err == {"type": "InputError", "message": message}
 
     @pytest.mark.parametrize("argv", [["rot"], ["verify", "comm-supp"]])
     @pytest.mark.parametrize("where, reason", [("missing", "No such file or directory"),

@@ -91,6 +91,17 @@ class TestReconstruct:
     def test_leaf(self):
         assert reconstruct(leaf("v")) == single_vertex("v")
 
+    @pytest.mark.parametrize("kind, vertex, children, message", [
+        (LEAF, "x", (leaf("y"),), "leaf must carry a vertex and no children"),
+        (JOIN, None, (leaf("x"),), "join node needs >= 2 children"),
+        (JOIN, None, (leaf("x"), Cotree(JOIN, children=(leaf("y"), leaf("z")))), "join node has a child of the same kind"),
+        ("intersection", None, (leaf("x"), leaf("y")), "unknown node kind 'intersection'"),
+    ], ids=["leaf-with-children", "join-one-child", "join-under-join", "unknown-kind"])
+    def test_malformed_node_rejected(self, kind, vertex, children, message):
+        with pytest.raises(ValueError) as e:
+            Cotree(kind, vertex=vertex, children=children)
+        assert str(e.value) == message
+
     def test_join_of_leaves(self):
         g = reconstruct(Cotree("join", children=(leaf("x"), leaf("y"))))
         assert g.edges == frozenset({("x", "y")})

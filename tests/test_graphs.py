@@ -72,6 +72,10 @@ class TestConstruction:
         with pytest.raises(GraphError):
             SimplicialGraph.build("ab", [("a", "a")])
 
+    def test_cycle_needs_three_vertices(self):
+        with pytest.raises(GraphError, match="at least 3 vertices"):
+            cycle_graph("ab")
+
     def test_unknown_endpoint_rejected(self):
         with pytest.raises(GraphError):
             SimplicialGraph.build("ab", [("a", "c")])

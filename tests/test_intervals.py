@@ -76,6 +76,7 @@ class TestOperations:
     def test_hull(self):
         s = IntervalSet.open(F(1, 8), F(1, 4)).union(IntervalSet.point(F(3, 4)))
         assert s.hull() == (F(1, 8), F(3, 4))
+        assert IntervalSet.empty().hull() is None
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10**9), st.integers(0, 32))

@@ -113,6 +113,9 @@ class TestConstruction:
     def test_circle_seam_condition(self):
         with pytest.raises(ValueError):
             PLMapCircle.from_points([(0, 0), (1, F(3, 2))])
+        for pts in ([(0, 0)], [(0, 0), (F(1, 2), 1)], [(F(1, 4), 0), (1, 1)]):
+            with pytest.raises(ValueError, match=r"must cover abscissae \[0, 1\]"):
+                PLMapCircle.from_points(pts)
 
 
 class TestGroupStructure:

@@ -37,9 +37,10 @@ def test_fraction_strings():
     assert str_to_frac("0") == 0
     assert str_to_frac("0.5") == F(1, 2)
     assert str_to_frac("3") == 3
+    assert str_to_frac("-1/2") == F(-1, 2)
 
 
-@pytest.mark.parametrize("value", [0.5, True, 3, None])
+@pytest.mark.parametrize("value", [0.5, True, 3, None, "1e2", "1E2", "2.5e-3", "1e4000000"])
 def test_rational_must_be_a_string(value):
     with pytest.raises(PayloadError, match='must be a "p/q" string'):
         str_to_frac(value)
