@@ -22,7 +22,6 @@ class HypothesisViolatedError(ValueError):
 
 def check_commutator_support(f: PLMap, g: PLMap) -> bool:
     """closure(supp [f,g]) inside supp f + supp g + closure(supp f meet supp g)."""
-    require_same_domain(f, g)
     sf, sg = f.support(), g.support()
     lhs = f.closure(commutator(f, g).support())
     rhs = sf.union(sg).union(f.closure(sf.intersection(sg)))

@@ -67,9 +67,6 @@ class IntervalSet:
     def is_empty(self) -> bool:
         return not self.parts
 
-    def __bool__(self) -> bool:
-        return bool(self.parts)
-
     def contains(self, x) -> bool:
         x = Fraction(x)
         for a, ac, b, bc in self.parts:

@@ -28,13 +28,6 @@ class LamplighterCertificate:
     j_checked: int
 
 
-def _never_moves_left_from(u: PLMapInterval, x0: Fraction) -> bool:
-    # u(x) >= x on [x0, 1]; linear pieces make endpoint checks sufficient
-    if u.evaluate(x0) < x0:
-        return False
-    return all(y >= x for x, y in u.points if x >= x0)
-
-
 def lamplighter_certificate(
     g: PLMapInterval, u: PLMapInterval, j_checked: int = 20
 ) -> Optional[LamplighterCertificate]:
@@ -50,9 +43,8 @@ def lamplighter_certificate(
     lo, hi = hull
     if not (0 < lo and hi < 1):
         return None
-    if u.evaluate(lo) <= hi:
-        return None
-    if not _never_moves_left_from(u, lo):
+    # u(x) >= x on [lo, 1]: u(lo) > hi >= lo, and linear pieces make breakpoint checks sufficient
+    if u.evaluate(lo) <= hi or any(y < x for x, y in u.points if x >= lo):
         return None
 
     # conj = u^j g u^-j is built one conjugation at a time: it stays supported

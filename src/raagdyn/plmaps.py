@@ -359,7 +359,6 @@ def power(f: PLMap, n: int) -> PLMap:
 
 def commutator(f: PLMap, g: PLMap) -> PLMap:
     """[f, g] = f g f^-1 g^-1."""
-    require_same_domain(f, g)
     return compose(compose(f, g), compose(invert(f), invert(g)))
 
 

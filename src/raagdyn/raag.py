@@ -40,8 +40,6 @@ def parse_letters(text: str) -> list[Letter]:
 
 
 def format_letters(letters: list[Letter]) -> str:
-    if not letters:
-        return ""
     out = []
     for name, sign in letters:
         out.append(name if sign > 0 else f"{name}^-1")

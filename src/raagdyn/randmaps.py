@@ -66,7 +66,7 @@ def random_interval_map(
 
 
 def random_bump(rng: Random, lo, hi, max_breaks: int = 3) -> PLMapInterval:
-    """Nontrivial map supported inside (lo, hi), identity elsewhere."""
+    """Nontrivial map supported inside (lo, hi), identity elsewhere; needs 0 < lo < hi < 1."""
     lo, hi = Fraction(lo), Fraction(hi)
     inner = random_interval_map(rng, max_breaks=max_breaks, pin_prob=0.15)
     while inner.is_identity():
@@ -75,11 +75,7 @@ def random_bump(rng: Random, lo, hi, max_breaks: int = 3) -> PLMapInterval:
     for x, y in inner.points[1:-1]:
         pts.append((lo + (hi - lo) * x, lo + (hi - lo) * y))
     pts.extend([(hi, hi), (Fraction(1), Fraction(1))])
-    dedup = [pts[0]]
-    for p in pts[1:]:
-        if p != dedup[-1]:
-            dedup.append(p)
-    return PLMapInterval.from_points(dedup)
+    return PLMapInterval.from_points(pts)
 
 
 def random_circle_map(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Union
@@ -17,6 +18,10 @@ from .plmaps import PLMapCircle, PLMapInterval, PLMap, RotationResult
 from .words import format_word
 
 SCHEMA_VERSION = 1
+
+# Fraction's string grammar without its exponent, digit-group underscores,
+# non-ASCII digits and surrounding whitespace
+_RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
 
 
 def frac_to_str(x) -> str:
@@ -42,7 +47,7 @@ def str_to_frac(s: str) -> Fraction:
 
     Exponent notation is refused too: "1e4000000" names a 4,000,001-digit integer.
     """
-    if not isinstance(s, str) or "e" in s or "E" in s:
+    if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
         raise PayloadError(f'a rational must be a "p/q" string, got {s!r}')
     try:
         return Fraction(s)

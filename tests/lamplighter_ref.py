@@ -8,7 +8,7 @@ certificates and equal refusals.
 
 from __future__ import annotations
 
-from raagdyn.lamplighter import IdentityInputError, LamplighterCertificate, _never_moves_left_from
+from raagdyn.lamplighter import IdentityInputError, LamplighterCertificate
 from raagdyn.plmaps import PLMapInterval, commutator, compose, invert
 
 
@@ -21,7 +21,9 @@ def lamplighter_certificate(g, u, j_checked: int = 20):
         return None
     if u.evaluate(lo) <= hi:
         return None
-    if not _never_moves_left_from(u, lo):
+    # u(x) >= x on [lo, 1]: u is linear between breakpoints, so lo and the
+    # breakpoints at or right of lo are the points to check
+    if u.evaluate(lo) < lo or any(u.evaluate(x) < x for x, _ in u.points if x >= lo):
         return None
     uj = PLMapInterval.identity()
     for j in range(1, j_checked + 1):

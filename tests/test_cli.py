@@ -195,6 +195,21 @@ class TestRealizeAndVerify:
         doc = json.loads(text)
         assert rc == 0 and doc["passed"] and doc["detail"]["failures"] == 0
 
+    def test_verify_sampled_failures_are_counted(self, tmp_path, monkeypatch):
+        calls = []
+
+        def every_third_fails(f, g):
+            calls.append(None)
+            return len(calls) % 3 != 0
+
+        monkeypatch.setattr(raagdyn.cli, "check_commutator_support", every_third_fails)
+        rc, text = run(tmp_path, "verify", "comm-supp", "--seed", "1", "--samples", "7")
+        doc = json.loads(text)
+        assert rc == 1 and doc["passed"] is False
+        assert doc["detail"] == {"samples": 7, "failures": 2}
+        rc, text = run(tmp_path, "verify", "comm-supp", "--seed", "1", "--samples", "7", "--format", "text")
+        assert rc == 1 and text.startswith("comm-supp: FAIL")
+
     def test_verify_phi_supp_overlap_exits_2(self, tmp_path):
         rng = Random(1)
         m = random_interval_map(rng)
@@ -267,6 +282,7 @@ _NOT_PAYLOAD_ERRORS = {"top-list": "InputError", "qmax-0": "InputError",
         (["verify", "action"], {**_ACTION, "words": ["t"], "witnesses": [0.5]}),
         (["rot"], {"maps": {"f": _ID_I}}),
         (["rot"], {"domain": "S1", "points": [["0", "1e4000000"], ["1", "1/2"]]}),
+        (["rot"], {"domain": "S1", "points": [["0", " 1/2 "], ["1", "3/2"]]}),
         (["verify", "action"], {"maps": {"a": _UP_I, "b": _BUMP_I, "t": _ID_I}, "x0": "1/2"}),
     ],
     ids=[
@@ -276,7 +292,7 @@ _NOT_PAYLOAD_ERRORS = {"top-list": "InputError", "qmax-0": "InputError",
         "x0-outside", "x0-missing", "a-b-not-commuting", "action-on-circle",
         "triple-outside", "lamplighter-on-circle", "triple-outside-circle",
         "points-number", "points-bool", "x0-number", "triple-number", "witness-number", "rot-maps-interval",
-        "rational-exponent", "a-b-commutator-nontrivial",
+        "rational-exponent", "rational-padded", "a-b-commutator-nontrivial",
     ],
 )
 def test_malformed_payload_exits_2(tmp_path, capsys, request, argv, payload):

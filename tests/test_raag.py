@@ -45,6 +45,7 @@ def test_parse_and_format():
     w = parse_letters("d a d^-1")
     assert w == [("d", 1), ("a", 1), ("d", -1)]
     assert format_letters(w) == "d a d^-1"
+    assert format_letters([]) == ""
     assert parse_letters("a^2 b^-2") == [("a", 1), ("a", 1), ("b", -1), ("b", -1)]
     assert parse_letters("") == []
     with pytest.raises(ValueError):

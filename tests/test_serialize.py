@@ -38,11 +38,21 @@ def test_fraction_strings():
     assert str_to_frac("0.5") == F(1, 2)
     assert str_to_frac("3") == 3
     assert str_to_frac("-1/2") == F(-1, 2)
+    assert str_to_frac("3.") == 3
+    assert str_to_frac(".5") == F(1, 2)
+    assert str_to_frac("+1/2") == F(1, 2)
 
 
-@pytest.mark.parametrize("value", [0.5, True, 3, None, "1e2", "1E2", "2.5e-3", "1e4000000"])
+@pytest.mark.parametrize("value", [0.5, True, 3, None, "1e2", "1E2", "2.5e-3", "1e4000000",
+                                   "\u0663", "1_000", " 1/2 ", "\t3\n", "3\n"])
 def test_rational_must_be_a_string(value):
     with pytest.raises(PayloadError, match='must be a "p/q" string'):
+        str_to_frac(value)
+
+
+@pytest.mark.parametrize("value", ["1/0", "1" * 4301])
+def test_not_a_rational(value):
+    with pytest.raises(PayloadError, match="not a rational"):
         str_to_frac(value)
 
 
