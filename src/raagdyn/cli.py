@@ -28,7 +28,7 @@ from .lamplighter import IdentityInputError, lamplighter_certificate
 from .plmaps import DomainMismatchError, PLMapCircle, PLMapInterval, rotation_number
 from .randmaps import random_pair, random_phi_triple
 from .serialize import PayloadError, dumps_doc, frac_to_str
-from .words import TrivialWordError, WordParseError, parse_word
+from .words import TrivialWordError, WordParseError, format_word, parse_word
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -234,9 +234,12 @@ def _verify_action(args, payload):
         raise PayloadError(f"{len(witnesses)} witnesses for {len(words)} words; give one per word or none")
     if not all(0 <= x <= 1 for x in [asg.basepoint, *witnesses]):
         raise PayloadError("witness points and 'x0' must lie in [0, 1]")
-    stuck = sum(evaluate_word_at(asg, w, x) == x
-                for w, x in zip(words, witnesses or [asg.basepoint] * len(words)))
-    detail = {"words": len(words), "moved": len(words) - stuck, "stuck": stuck}
+    stuck = [(w, x) for w, x in zip(words, witnesses or [asg.basepoint] * len(words))
+             if evaluate_word_at(asg, w, x) == x]
+    detail = {"words": len(words), "moved": len(words) - len(stuck), "stuck": len(stuck)}
+    if stuck:  # the first word that fixes its point, as a bundle would give it
+        w, x = stuck[0]
+        detail["first_stuck"] = {"word": format_word(w), "x": frac_to_str(x)}
     return not stuck, detail
 
 

@@ -373,25 +373,58 @@ class RotationResult:
         return self.kind == "exact"
 
 
-def rotation_number(f: PLMapCircle, q_max: int = 64) -> RotationResult:
-    """Exact rotation number when some f^q has a periodic lift, else bounds.
+def _lift_orbit(quads, n: int) -> tuple[int, int]:
+    """F^n(0), n >= 1, as (num, den) in lowest terms, for F the lift with period `quads`, one point at a time."""
+    num, den = quads[0][2:]
+    last = len(quads) - 2  # the last piece holds its right end
+    for _ in range(n - 1):
+        k = num // den
+        num -= k * den
+        lo, hi = 0, last  # the piece of num/den in [0, 1): the last breakpoint at or below it
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if quads[mid][0] * den <= num * quads[mid][1]:
+                lo = mid
+            else:
+                hi = mid - 1
+        yn, yd = _lerp(*quads[lo], *quads[lo + 1], num, den)
+        num, den = yn + k * yd, yd
+    return num, den
 
-    For each q up to q_max the lift F^q is computed exactly and the equation
-    F^q(x) = x + p is decided by sign analysis over the breakpoints; a hit
-    yields rot f = p/q.  Otherwise the interval
-    [(F^n(0) - 1)/n, (F^n(0) + 1)/n] at n = q_max encloses the true value.
+
+def rotation_number(f: PLMapCircle, q_max: int = 64) -> RotationResult:
+    """Exact rotation number when some f^q has a periodic lift, q <= q_max, else bounds.
+
+    F^q(x) = x + p is decided by the displacements of the lift F^q at its
+    breakpoints; a hit yields rot f = p/q.  The q tried are those of the
+    Stern-Brocot mediants: rot f lies strictly between Farey neighbours a/b
+    and c/d, every rational between them has a denominator of at least b + d,
+    and F^(b+d) = F^b F^d, one sweep, either hits a + c or lies on one side
+    of it, which then moves to the mediant.  With no mediant left within
+    q_max, the interval [(F^n(0) - 1)/n, (F^n(0) + 1)/n] at n = q_max, F^n(0)
+    taken from the orbit of 0, encloses the true value.
     """
     if q_max < 1:
         raise ValueError("q_max must be at least 1")
-    fq = pts = _quads(f.points)
-    for q in range(1, q_max + 1):
-        if q > 1:
-            pts = _sweep(fq, pts)
-        _, lo, hi = _displacements(pts)
+    fq = _quads(f.points)
+    # a/b < rot F < c/d, holding F^b and F^d; F^n is under test.  F itself
+    # goes first: F(0) in [0, 1), so without an integer displacement its
+    # displacements lie in (0, 1), below a + c = 1, and the bracket stands
+    a, b, fb, c, d, fd = 0, 1, fq, 1, 1, fq
+    n, fn = 1, fq
+    while True:
+        _, lo, hi = _displacements(fn)
         if lo < hi:
             raise AssertionError("lift displacement spans two integers")
-        if lo == hi:
-            v = Fraction(lo, q)
+        if lo == hi:  # F^n(x) = x + lo somewhere, and lo = a + c past n = 1
+            v = Fraction(lo, n)
             return RotationResult("exact", value=v - math.floor(v))
-    f0 = Fraction(pts[0][2], pts[0][3])
+        if lo > a + c:  # F^n(x) - x > a + c everywhere: the mediant is the new left end
+            a, b, fb = a + c, n, fn
+        else:  # F^n(x) - x < a + c everywhere: the mediant is the new right end
+            c, d, fd = a + c, n, fn
+        if b + d > q_max:
+            break
+        n, fn = b + d, _sweep(fb, fd)
+    f0 = Fraction(*_lift_orbit(fq, q_max))
     return RotationResult("bounds", lo=(f0 - 1) / q_max, hi=(f0 + 1) / q_max)

@@ -146,6 +146,27 @@ class TestRealizeAndVerify:
         assert (rc, text) == (2, "")
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "PayloadError"
 
+    def test_failing_action_names_first_stuck_word(self, tmp_path):
+        """A FAIL names the first word that fixes its witness; that pair alone, as a bundle, fails again."""
+        words = tmp_path / "words.txt"
+        words.write_text("a t\nb^2 t^-1\nt a^-1\n")
+        bundle = tmp_path / "bundle.json"
+        assert main(["realize", "--input", str(words), "--output", str(bundle)]) == 0
+        doc = json.loads(bundle.read_text())
+        doc["witnesses"][1:] = ["1", "0"]  # every map fixes both ends of [0, 1]
+        bundle.write_text(json.dumps(doc))
+        rc, text = run(tmp_path, "verify", "action", "--input", str(bundle))
+        detail = json.loads(text)["detail"]
+        assert rc == 1
+        assert detail == {"words": 3, "moved": 1, "stuck": 2,
+                          "first_stuck": {"word": "b^2 t^-1", "x": "1"}}
+        doc.update(words=[detail["first_stuck"]["word"]], witnesses=[detail["first_stuck"]["x"]])
+        bundle.write_text(json.dumps(doc))
+        rc, text = run(tmp_path, "verify", "action", "--input", str(bundle), "--format", "text")
+        assert rc == 1
+        assert text == ("action: FAIL {'words': 1, 'moved': 0, 'stuck': 1, "
+                        "'first_stuck': {'word': 'b^2 t^-1', 'x': '1'}}\n")
+
     def test_trivial_word_exits_2(self, tmp_path):
         words = tmp_path / "words.txt"
         words.write_text("t\na b a^-1 b^-1\n")

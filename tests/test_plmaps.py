@@ -364,6 +364,90 @@ class TestRotationNumber:
             rotation_number(PLMapCircle.identity(), q_max=0)
 
 
+def _mediant_walk(rot, q_max):
+    """How many Stern-Brocot mediants, of denominator at most q_max, the descent to rot in (0, 1) meets."""
+    (a, b), (c, d) = (0, 1), (1, 1)
+    walk = 0
+    while b + d <= q_max:
+        walk += 1
+        m = F(a + c, b + d)
+        if m == rot:
+            break
+        if m < rot:
+            a, b = a + c, b + d
+        else:
+            c, d = a + c, b + d
+    return walk
+
+
+def _edge_maps():
+    """(map, q_max, exact) for rigid rotations and seeded periodic maps by p/q, q = q_max and q_max + 1, p = 1 and q - 1."""
+    out = []
+    for q_max in (1, 2, 5, 64):
+        for q in (q_max, q_max + 1):
+            for p in sorted({1, q - 1}):
+                rng = Random(1000 * q + p)
+                maps = {"rigid": PLMapCircle.rotation(F(p, q)),
+                        "periodic": PLMapCircle.from_points(ref.periodic_points(rng, p, q))}
+                out += [pytest.param(f, q_max, q <= q_max, id=f"{kind}-{p}/{q}-qmax{q_max}")
+                        for kind, f in maps.items()]
+    return out
+
+
+class TestSternBrocotDescent:
+    """`rotation_number` sweeps once per mediant on the Stern-Brocot path, and gives the F^q loop's results."""
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        calls = []
+        sweep = raagdyn.plmaps._sweep
+
+        def counted(fq, gq):
+            calls.append(None)
+            return sweep(fq, gq)
+
+        monkeypatch.setattr(raagdyn.plmaps, "_sweep", counted)
+        return calls
+
+    @pytest.mark.parametrize("rot", [F(1, 3), F(5, 7), F(34, 67), F(1, 67)])
+    def test_rigid_rotation_sweeps(self, sweeps, rot):
+        res = rotation_number(PLMapCircle.rotation(rot), 64)
+        assert res.is_exact() == (rot.denominator <= 64)
+        assert len(sweeps) == _mediant_walk(rot, 64)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_67_point_periodic_map_sweeps(self, sweeps, seed):
+        rng = Random(seed)
+        p = rng.randrange(1, 67)
+        f = PLMapCircle.from_points(ref.periodic_points(rng, p, 67))
+        assert not rotation_number(f, 64).is_exact()
+        assert len(sweeps) == _mediant_walk(F(p, 67), 64)
+
+    def test_all_rotations_by_p_over_67(self, sweeps):
+        """66 descents of 992 sweeps in all, where the F^q loop takes 63 each (4,158)."""
+        for p in range(1, 67):
+            rotation_number(PLMapCircle.rotation(F(p, 67)), 64)
+        assert len(sweeps) == sum(_mediant_walk(F(p, 67), 64) for p in range(1, 67)) == 992
+
+    def test_fixed_point_takes_no_sweep(self, sweeps):
+        m = PLMapCircle.from_points([(0, 0), (F(1, 4), F(1, 2)), (1, 1)])
+        assert rotation_number(m).value == 0
+        assert sweeps == []
+
+    @pytest.mark.parametrize("f, q_max, exact", _edge_maps())
+    def test_edges_match_reference(self, f, q_max, exact):
+        res = rotation_number(f, q_max)
+        assert res.is_exact() == exact
+        assert res == ref.rotation_number(f, q_max)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32), q=st.integers(1, 100), q_max=st.integers(1, 100))
+    def test_periodic_maps_match_reference(self, seed, q, q_max):
+        rng = Random(seed)
+        f = PLMapCircle.from_points(ref.periodic_points(rng, rng.randrange(q), q))
+        assert rotation_number(f, q_max) == ref.rotation_number(f, q_max)
+
+
 @functools.cache
 def _deep_iterates():
     """(kind, unnormalized F^64 lift) for maps whose 64th iterates pass 300-bit denominators."""
