@@ -44,9 +44,7 @@ from .words import (
 @dataclass(frozen=True)
 class ActionPlan:
     scale: int  # block corners are k / scale; a bump of s steps has den scale * s
-    a_bumps: tuple[Bump, ...]  # each family listed left to right
-    b_bumps: tuple[Bump, ...]
-    t_bumps: tuple[Bump, ...]
+    bumps: dict[str, tuple[Bump, ...]]  # "a", "b", "t" -> its family, left to right
     base_num: int
     base_den: int
     standard: FreeProductWord
@@ -77,18 +75,16 @@ def plan_separating_action(word: Union[FreeProductWord, str]) -> ActionPlan:
         raise TrivialWordError("word reduces to the identity")
     std, conj = cyclic_normalize(word)
     syl = std.syllables
-    a_bumps: list[Bump] = []
-    b_bumps: list[Bump] = []
-    t_bumps: list[Bump] = []
+    fams: dict[str, list[Bump]] = {"a": [], "b": [], "t": []}
 
     if len(syl) == 1 and syl[0][0] == T:
         r = syl[0][1]
         scale, base = 12, 4
-        t_bumps.append(_chain_bump(scale, 2, 10, 4, 8, abs(r), r > 0))
+        fams["t"].append(_chain_bump(scale, 2, 10, 4, 8, abs(r), r > 0))
     elif len(syl) == 1:
         _, m, n = syl[0]
         scale, s, e = 28, (2 if m else 14), m or n
-        (a_bumps if m else b_bumps).append(_chain_bump(scale, s, s + 12, s + 2, s + 8, abs(e), e > 0))
+        fams["a" if m else "b"].append(_chain_bump(scale, s, s + 12, s + 2, s + 8, abs(e), e > 0))
         base = s + 2
     else:
         if len(syl) % 2 or syl[0][0] != AB or syl[-1][0] != T:
@@ -98,13 +94,13 @@ def plan_separating_action(word: Union[FreeProductWord, str]) -> ActionPlan:
         for i, k in enumerate(range(len(syl) - 2, -1, -2)):  # pair i acts i-th
             (_, m, n), (_, r) = syl[k], syl[k + 1]
             s, e = 6 + 28 * i + (0 if m else 12), m or n
-            (a_bumps if m else b_bumps).append(_chain_bump(scale, s, s + 12, s + 2, s + 8, abs(e), e > 0))
-            t_bumps.append(_chain_bump(scale, c, s + 4, prev, s + 2, abs(r), r > 0))
+            fams["a" if m else "b"].append(_chain_bump(scale, s, s + 12, s + 2, s + 8, abs(e), e > 0))
+            fams["t"].append(_chain_bump(scale, c, s + 4, prev, s + 2, abs(r), r > 0))
             prev, c = s + 8, s + 6
 
-    fams = {"a": tuple(a_bumps), "b": tuple(b_bumps), "t": tuple(t_bumps)}
-    num, den = (base, scale) if conj.is_identity() else _walk_bumps(fams, conj, base, scale)
-    return ActionPlan(scale, fams["a"], fams["b"], fams["t"], num, den, std, conj)
+    bumps = {"a": tuple(fams["a"]), "b": tuple(fams["b"]), "t": tuple(fams["t"])}
+    num, den = (base, scale) if conj.is_identity() else _walk_bumps(bumps, conj, base, scale)
+    return ActionPlan(scale, bumps, num, den, std, conj)
 
 
 def _act(word: FreeProductWord, x, power):
@@ -132,7 +128,7 @@ def _walk_bumps(fams: dict, word: FreeProductWord, num: int, den: int) -> tuple[
 
 def plan_apply_word(plan: ActionPlan, word: FreeProductWord, num: int, den: int) -> tuple[int, int]:
     """Evaluate the word at num/den through the plan, rightmost syllable first."""
-    return _walk_bumps({"a": plan.a_bumps, "b": plan.b_bumps, "t": plan.t_bumps}, word, num, den)
+    return _walk_bumps(plan.bumps, word, num, den)
 
 
 def _materialize(bumps: Iterable[Bump]) -> PLMapInterval:
@@ -164,12 +160,7 @@ class ActionAssignment:
 
 
 def materialize_plan(plan: ActionPlan) -> ActionAssignment:
-    return ActionAssignment(
-        a=_materialize(plan.a_bumps),
-        b=_materialize(plan.b_bumps),
-        t=_materialize(plan.t_bumps),
-        basepoint=plan.basepoint(),
-    )
+    return ActionAssignment(**{g: _materialize(fam) for g, fam in plan.bumps.items()}, basepoint=plan.basepoint())
 
 
 def build_separating_action(word: Union[FreeProductWord, str]) -> ActionAssignment:
@@ -208,7 +199,7 @@ def build_faithful_on(words: Iterable[Union[FreeProductWord, str]]) -> FaithfulA
         gen: _materialize(
             Bump(d * n, tuple(k * d + x for x in xs), tuple(k * d + y for y in ys))
             for k, plan in enumerate(plans)
-            for d, xs, ys in getattr(plan, gen + "_bumps")
+            for d, xs, ys in plan.bumps[gen]
         )
         for gen in "abt"
     }

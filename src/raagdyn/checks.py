@@ -28,16 +28,14 @@ def check_commutator_support(f: PLMap, g: PLMap) -> bool:
     return lhs.is_subset_of(rhs)
 
 
-def _phi(b: PLMap, b_inv: PLMap, c: PLMap, d: PLMap) -> PLMap:
-    return commutator(c, compose(compose(b, d), b_inv))
-
-
-def _cd_supports(c: PLMap, d: PLMap) -> tuple[IntervalSet, IntervalSet]:
-    """supp c and supp d, which the phi checks require to be disjoint."""
+def _phi(b: PLMap, c: PLMap, d: PLMap) -> tuple[IntervalSet, IntervalSet, PLMap, PLMap]:
+    """supp c, supp d, b^-1 and phi = [c, b d b^-1]; refuses mixed domains, then meeting supports of c and d."""
+    require_same_domain(b, c, d)
     sc, sd = c.support(), d.support()
     if not sc.intersection(sd).is_empty():
         raise HypothesisViolatedError("supports of c and d intersect")
-    return sc, sd
+    b_inv = invert(b)
+    return sc, sd, b_inv, commutator(c, compose(compose(b, d), b_inv))
 
 
 def check_phi_support(b: PLMap, c: PLMap, d: PLMap) -> bool:
@@ -45,10 +43,8 @@ def check_phi_support(b: PLMap, c: PLMap, d: PLMap) -> bool:
 
     Requires supp c and supp d disjoint; holds for all homeomorphisms.
     """
-    require_same_domain(b, c, d)
-    sc, sd = _cd_supports(c, d)
-    sb, b_inv = b.support(), invert(b)
-    phi = _phi(b, b_inv, c, d)
+    sc, sd, b_inv, phi = _phi(b, c, d)
+    sb = b.support()
     rhs = (
         sb
         .union(compose(c, b).image(sb.intersection(sd)))
@@ -69,9 +65,7 @@ def check_c1_containment(b: PLMap, c: PLMap, d: PLMap) -> C1ContainmentReport:
     True for C^1 triples; PL maps may legitimately violate it, so the
     offending set is returned rather than asserted away.
     """
-    require_same_domain(b, c, d)
-    sc, sd = _cd_supports(c, d)
-    phi = _phi(b, invert(b), c, d)
+    sc, sd, _, phi = _phi(b, c, d)
     lhs = b.closure(phi.support().difference(b.support()))
     rhs = sc.union(sd)
     violating = lhs.difference(rhs)

@@ -125,11 +125,10 @@ class IntervalSet:
         return IntervalSet(tuple(_nonempty(gaps)))
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
+        # parts of other outside self's hull cannot meet self
         if not self.parts:
             return self
-        lo = min(self.parts[0][0], other.parts[0][0]) if other.parts else self.parts[0][0]
-        hi = max(self.parts[-1][2], other.parts[-1][2]) if other.parts else self.parts[-1][2]
-        return self.intersection(other.complement(lo - 1, hi + 1))
+        return self.intersection(other.complement(self.parts[0][0] - 1, self.parts[-1][2] + 1))
 
     def is_subset_of(self, other: "IntervalSet") -> bool:
         return self.difference(other).is_empty()

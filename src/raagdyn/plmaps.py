@@ -275,7 +275,12 @@ class PLMapInterval(PLMap):
         x = Fraction(x)
         if not 0 <= x <= 1:
             raise ValueError(f"point {x} outside [0, 1]")
-        return Fraction(*bumps_power(self._bumps, e, (x.numerator, x.denominator)))
+        i = bisect_right(self._bump_ends, x)  # the first bump ending right of x, the only one that can move it
+        return Fraction(*bumps_power(self._bumps[i:i + 1], e, (x.numerator, x.denominator)))
+
+    @cached_property
+    def _bump_ends(self) -> list[Fraction]:
+        return [Fraction(xs[-1], d) for d, xs, _ in self._bumps]
 
     @cached_property
     def _bumps(self) -> tuple[Bump, ...]:

@@ -8,6 +8,7 @@ words have no zero syllable and no two adjacent syllables in the same factor.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -148,16 +149,16 @@ def cyclic_normalize(
     leftmost syllable lies in Z^2 and rightmost is a power of t.  Returns
     (standard, conjugator).
     """
-    cur = list(w.syllables)
+    cur = deque(w.syllables)
     conj: list[Syllable] = []
     while len(cur) >= 2 and cur[0][0] == cur[-1][0]:
-        head = cur.pop(0)
+        head = cur.popleft()
         conj.append(head)
         merged = _merge(cur.pop(), head)
         if not _is_zero(merged):
             cur.append(merged)
     if len(cur) >= 2 and cur[0][0] == T:
-        head = cur.pop(0)
+        head = cur.popleft()
         conj.append(head)
         cur.append(head)
     return FreeProductWord(tuple(cur)), FreeProductWord(tuple(conj))

@@ -9,6 +9,7 @@ writes rows directly against it for exact equality, errors included.
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 from raagdyn.graphs import GraphError, GraphParseError
@@ -71,6 +72,22 @@ def parse_edge_list(text: str) -> RefGraph:
     return build(order, edges)
 
 
+ID_FIRST = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+KEYWORDS = ("node", "edge", "graph", "digraph", "subgraph", "strict")
+
+
+def is_dot_id(v: str) -> bool:
+    """DOT's unquoted ID, character by character, or a numeral; never a keyword."""
+    def name_char(ch, first):
+        return ch in ID_FIRST or ord(ch) >= 0x80 or (not first and ch.isascii() and ch.isdigit())
+
+    if v.lower() in KEYWORDS:
+        return False
+    if v and all(name_char(ch, k == 0) for k, ch in enumerate(v)):
+        return True
+    return re.fullmatch(r"-?(\.[0-9]+|[0-9]+(\.[0-9]*)?)", v) is not None
+
+
 def parse_dot(text: str) -> RefGraph:
     stripped = []
     for raw in text.splitlines():
@@ -102,7 +119,7 @@ def parse_dot(text: str) -> RefGraph:
     edges: list[tuple[str, str]] = []
 
     def declare(v: str):
-        if v in ("{", "}", ";", "--"):
+        if not is_dot_id(v):
             raise GraphParseError(f"unexpected token {v!r}")
         if v not in seen:
             seen.add(v)
@@ -127,6 +144,8 @@ def parse_dot(text: str) -> RefGraph:
             i += 2
     if i >= len(tokens):
         raise GraphParseError("missing closing '}'")
+    if i + 1 < len(tokens):
+        raise GraphParseError(f"unexpected token {tokens[i + 1]!r} after closing '}}'")
     return build(order, edges)
 
 

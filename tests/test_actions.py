@@ -4,6 +4,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+import raagdyn.plmaps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,7 +53,7 @@ def random_conjugate(rng: Random, word_len: int, conj_len: int) -> FreeProductWo
 
 def zone_points(rng: Random, plan):
     """A random rational inside each piece of every bump: expanding, translation, contracting."""
-    for bp in plan.a_bumps + plan.b_bumps + plan.t_bumps:
+    for bp in plan.bumps["a"] + plan.bumps["b"] + plan.bumps["t"]:
         for x0, x1 in zip(bp.xs, bp.xs[1:]):
             yield F(x0, bp.den) + F(x1 - x0, bp.den) * F(rng.randint(1, 63), 64)
 
@@ -242,7 +243,7 @@ class TestSeparatingAction:
 
     def test_bump_size_does_not_grow_with_steps(self):
         plan = plan_separating_action("a^1000000 t^-999999 b^3 t")
-        for bp in plan.a_bumps + plan.b_bumps + plan.t_bumps:
+        for bp in plan.bumps["a"] + plan.bumps["b"] + plan.bumps["t"]:
             assert len(bp.xs) == len(bp.ys) <= 4
 
     def test_million_step_plan_matches_map_path(self):
@@ -331,6 +332,32 @@ class TestFaithfulOn:
         for w, x in zip(fa.words, fa.witnesses):
             assert evaluate_word_at(fa.assignment, w, x) != x
 
+    def test_power_reads_one_bump(self, monkeypatch):
+        """Every power at a witness of a 200-word action hands the kernel one bump, not the family."""
+        rng = Random(19)
+        fa = build_faithful_on([random_word(rng, 4, 3) for _ in range(200)])
+        asg = fa.assignment
+        assert min(len(asg.a._bumps), len(asg.t._bumps)) >= 200  # b takes only syllables without a
+        passed = []
+
+        def counting(bumps, e, x):
+            passed.append(len(bumps))
+            return bumps_power(bumps, e, x)
+
+        monkeypatch.setattr(raagdyn.plmaps, "bumps_power", counting)
+        for w, x in zip(fa.words, fa.witnesses):
+            assert evaluate_word_at(asg, w, x) != x
+        assert passed and max(passed) <= 1
+
+    def test_power_matches_whole_family(self):
+        rng = Random(20)
+        asg = build_faithful_on([random_word(rng, 4, 3) for _ in range(30)]).assignment
+        for m in (asg.a, asg.b, asg.t):
+            ends = [F(0), F(1)] + [F(xs[k], d) for d, xs, _ in m._bumps for k in (0, -1)]
+            for x in ends + [F(rng.randint(0, 10**6), 10**6) for _ in range(50)]:
+                e = rng.choice((-3, -1, 1, 2, 5))
+                assert m.evaluate_power(x, e) == F(*bumps_power(m._bumps, e, (x.numerator, x.denominator)))
+
     def test_blocks_preserve_disjointness(self):
         fa = build_faithful_on(["a t", "b t^-1", "t a^-1"])
         fa.assignment.validate()
@@ -358,7 +385,7 @@ def _plan_fields(plan) -> str:
 
     bumps = "/".join(
         ",".join(f"{d}:{' '.join(map(str, xs))}:{' '.join(map(str, ys))}" for d, xs, ys in fam)
-        for fam in (plan.a_bumps, plan.b_bumps, plan.t_bumps)
+        for fam in (plan.bumps["a"], plan.bumps["b"], plan.bumps["t"])
     )
     return (f"{plan.scale}|{bumps}|{plan.base_num}/{plan.base_den}|"
             f"{syllables(plan.standard)}|{syllables(plan.conjugator)}\n")

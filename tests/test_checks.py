@@ -10,7 +10,7 @@ from raagdyn.checks import (
     check_phi_support,
     check_two_jumps_prefix,
 )
-from raagdyn.plmaps import PLMapInterval, commutator
+from raagdyn.plmaps import DomainMismatchError, PLMapCircle, PLMapInterval, commutator
 from raagdyn.randmaps import (
     random_circle_map,
     random_disjoint_pair,
@@ -114,6 +114,24 @@ class TestC1Containment:
                 fails += 1
                 assert not report.violating.is_empty()
         assert holds > 0  # the benign cases certainly occur
+
+
+class TestPreconditionOrder:
+    """Mixed domains are refused before the support hypothesis is tested."""
+
+    def test_mixed_domains_before_overlap(self):
+        b = PLMapCircle.from_points([(0, F(1, 3)), (1, F(4, 3))])
+        bump = PLMapInterval.from_points(
+            [(0, 0), (F(1, 4), F(3, 8)), (F(1, 2), F(1, 2)), (1, 1)]
+        )
+        for check in (check_phi_support, check_c1_containment):
+            with pytest.raises(DomainMismatchError):
+                check(b, bump, bump)
+
+    def test_two_jumps_mixed_domains(self):
+        rng = Random(9)
+        with pytest.raises(DomainMismatchError):
+            check_two_jumps_prefix(random_interval_map(rng), random_circle_map(rng), [])
 
 
 def three_block_crossing():

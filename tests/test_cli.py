@@ -71,6 +71,30 @@ class TestClassify:
         rc, _ = run(tmp_path, "classify", "--input", str(tmp_path / "nope"))
         assert rc == 2
 
+    @pytest.mark.parametrize("text, token", [
+        ("graph { rankdir=LR; a -- b -- c -- d -- a }", "'rankdir=LR'"),
+        ("graph { node [shape=circle]; a -- b }", "'node'"),
+        ("graph { a -- b [color=red] }", "'[color=red]'"),
+        ('graph { "a" -- b }', "'\"a\"'"),
+        ("graph { a -- b } c -- d", "'c'"),
+        ("graph { a -- b }\ngraph { e }", "'graph'"),
+    ])
+    def test_dot_outside_subset_exits_2(self, tmp_path, capsys, text, token):
+        """DOT syntax outside the read subset is refused, never read as vertex names."""
+        p = tmp_path / "g.dot"
+        p.write_text(text + "\n")
+        rc, out = run(tmp_path, "classify", "--input", str(p))
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert rc == 2 and out == ""
+        assert err["type"] == "GraphParseError" and f"unexpected token {token}" in err["message"]
+
+    def test_dot_c4_is_level_3(self, tmp_path):
+        p = tmp_path / "c4.dot"
+        p.write_text("graph { a -- b -- c -- d -- a }\n")
+        rc, text = run(tmp_path, "classify", "--input", str(p))
+        doc = json.loads(text)
+        assert rc == 0 and doc["level"] == 3 and doc["verdict"]["c1bv"] is True
+
 
 class TestWitness:
     def test_p4(self, tmp_path, p4_file):
@@ -239,6 +263,15 @@ class TestRealizeAndVerify:
         p.write_text(json.dumps(payload))
         rc, _ = run(tmp_path, "verify", "phi-supp", "--input", str(p))
         assert rc == 2
+
+    def test_verify_phi_supp_mixed_domains_exits_2(self, tmp_path, capsys):
+        """Mixed domains are named before the overlapping supports of c and d."""
+        payload = {"maps": {"b": _GOOD_S1, "c": _BUMP_I, "d": _BUMP_I}}
+        p = tmp_path / "triple.json"
+        p.write_text(json.dumps(payload))
+        rc, _ = run(tmp_path, "verify", "phi-supp", "--input", str(p))
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "DomainMismatchError"
 
     def test_verify_unknown_check(self, tmp_path):
         rc, _ = run(tmp_path, "verify", "nonsense")

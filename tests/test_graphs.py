@@ -69,8 +69,15 @@ def random_graph(rng, n):
 
 class TestConstruction:
     def test_loop_rejected(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="^loop at vertex 'a'$"):
             SimplicialGraph.build("ab", [("a", "a")])
+
+    def test_build_names_unknown_vertex_before_loop(self):
+        """Loops are refused by the row check after every edge is placed."""
+        with pytest.raises(GraphError, match="mentions unknown vertex"):
+            SimplicialGraph.build("ab", [("a", "a"), ("a", "z")])
+        with pytest.raises(GraphError, match="^loop at vertex 'a'$"):
+            SimplicialGraph.build("ab", [("b", "b"), ("a", "a")])
 
     def test_cycle_needs_three_vertices(self):
         with pytest.raises(GraphError, match="at least 3 vertices"):
@@ -362,6 +369,16 @@ class TestLoaderAgainstReference:
         "graph { { }",
         "graph { ; -- b }",
         "graph { a b -- c ; } trailing",
+        "graph { rankdir=LR; a -- b -- c -- d -- a }",
+        "graph { node [shape=circle]; a -- b }",
+        "graph { a -- b [color=red] }",
+        'graph { "a" -- b }',
+        "graph { a -- b } c -- d",
+        "graph { a -- b }\ngraph { e }",
+        "graph { x1 -- _y -- 3.5 -- -.5 -- 7. -- \u00e9t\u00e9 }",
+        "graph { 1a -- b }",
+        "graph { Edge -- b }",
+        "graph { a -- - }",
     ])
     def test_fixed_inputs(self, text):
         assert_loads_like_reference(text)

@@ -1,4 +1,5 @@
 import itertools
+import time
 from random import Random
 
 import pytest
@@ -117,3 +118,14 @@ class TestCyclicNormalize:
         std, conj = cyclic_normalize(parse_word("t^2 a t"))
         assert std.syllables == ((AB, 1, 0), (T, 3))
         assert conj * std * conj.inverse() == parse_word("t^2 a t")
+
+    def test_long_conjugator_is_linear(self):
+        """(a t)^k b (t^-1 a^-1)^k at k = 100,000: one pass over the 200,000-syllable conjugator."""
+        k = 100_000
+        syls = [(AB, 1, 0), (T, 1)] * k + [(AB, 0, 1)] + [(T, -1), (AB, -1, 0)] * k
+        w = FreeProductWord(tuple(syls))
+        t0 = time.monotonic()
+        std, conj = cyclic_normalize(w)
+        assert time.monotonic() - t0 < 2.0
+        assert std == parse_word("b")
+        assert len(conj) == 2 * k and conj.syllables[:2] == ((AB, 1, 0), (T, 1))
