@@ -8,8 +8,9 @@ again cographs; a connected, co-connected graph contains an induced P4.
 
 The split runs on an explicit stack over vertex bitmasks (bit i is the i-th
 vertex), so neither recognition nor any other cotree walk here is limited
-by the interpreter's recursion depth.  Each part is grown by OR-ing the
-adjacency rows (or their complements) of a whole BFS frontier at once.
+by the interpreter's recursion depth.  Each part is grown a whole BFS
+frontier at a time, from the rows of the frontier or of the undiscovered
+vertices, whichever are fewer.
 """
 
 from __future__ import annotations
@@ -151,20 +152,60 @@ class NotCograph:
     p4: tuple[str, str, str, str]
 
 
-def _parts(rows, mask: int, complement: bool) -> list[int]:
-    """Components of the subgraph on `mask` (of its complement if asked), by first vertex."""
-    parts = []
+def _parts(rows, mask: int, complement: bool, seed: int) -> list[int]:
+    """Components of the subgraph on `mask` (of its complement if asked), by first vertex.
+
+    The first part grows from the bit `seed`, the others from their lowest
+    vertex.  Each BFS round reads the rows of the smaller side: the frontier's,
+    OR-ed (AND-ed for the complement), or the undiscovered vertices', each
+    tested against the frontier.
+    """
+    parts, low = [], mask & -mask
     while mask:
-        part = frontier = mask & -mask
-        while frontier:
-            reach = 0
-            for i in bit_indices(frontier):
-                reach |= ~rows[i] if complement else rows[i]
-            frontier = reach & mask & ~part
+        part = frontier = seed
+        rest = mask ^ seed
+        while frontier and rest:
+            if frontier.bit_count() <= rest.bit_count():
+                if complement:
+                    common = -1
+                    for i in bit_indices(frontier):
+                        common &= rows[i]
+                    frontier = rest & ~common
+                else:
+                    reach = 0
+                    for i in bit_indices(frontier):
+                        reach |= rows[i]
+                    frontier = rest & reach
+            else:
+                found = 0
+                for j in bit_indices(rest):
+                    touch = rows[j] & frontier
+                    if (touch != frontier) if complement else touch:
+                        found |= 1 << j
+                frontier = found
             part |= frontier
+            rest ^= frontier
         parts.append(part)
-        mask &= ~part
+        mask = rest
+        seed = mask & -mask
+    if not parts[0] & low:  # the seed's part goes after those with lower vertices
+        parts.sort(key=lambda p: p & -p)
     return parts
+
+
+def _seed(order, mask: int, end: int, step: int) -> tuple[int, int]:
+    """The bit of the first vertex of `mask` in order[end], order[end + step], ...
+
+    The scan stops after as many places as `mask` has vertices; the lowest
+    vertex stands in if none of them is in `mask`.  Returns the bit and the
+    place to start the next scan for any submask.
+    """
+    for _ in range(mask.bit_count()):
+        v = order[end]
+        if mask >> v & 1:
+            return 1 << v, end
+        end += step
+    return mask & -mask, end
 
 
 def decompose(g: SimplicialGraph) -> Union[Cotree, NotCograph]:
@@ -172,14 +213,20 @@ def decompose(g: SimplicialGraph) -> Union[Cotree, NotCograph]:
 
     Parts are split in pre-order; the first part that is connected and
     co-connected stops the search, and its least induced P4 is the witness.
+    Components grow from the vertex of greatest degree in the whole graph,
+    co-components from that of least degree: for a chain of joins and
+    unions, each split then reads a few rows.  Those vertices come from one
+    degree order, whose window [low, high] narrows down the stack.
     """
     if g.n == 0:
         raise EmptyGraphError("cannot decompose the empty graph")
     rows = g._bits
+    degree = [row.bit_count() for row in rows]
+    order = sorted(range(g.n), key=degree.__getitem__)
     nodes = []  # pre-order: [kind, vertex, child slots]
-    stack = [((1 << g.n) - 1, None)]
+    stack = [((1 << g.n) - 1, None, 0, g.n - 1)]
     while stack:
-        mask, parent = stack.pop()
+        mask, parent, low, high = stack.pop()
         if parent is not None:
             nodes[parent][2].append(len(nodes))
         if mask & (mask - 1) == 0:
@@ -187,10 +234,15 @@ def decompose(g: SimplicialGraph) -> Union[Cotree, NotCograph]:
             continue
         # a union's child is connected and a join's child co-connected
         above = nodes[parent][0] if parent is not None else None
-        parts = [mask] if above == UNION else _parts(rows, mask, complement=False)
+        parts = [mask]
+        if above != UNION:
+            seed, high = _seed(order, mask, high, -1)
+            parts = _parts(rows, mask, False, seed)
         kind = UNION
         if len(parts) == 1:
-            parts = [mask] if above == JOIN else _parts(rows, mask, complement=True)
+            if above != JOIN:
+                seed, low = _seed(order, mask, low, 1)
+                parts = _parts(rows, mask, True, seed)
             kind = JOIN
         if len(parts) == 1:
             p4 = _least_p4(g, mask)
@@ -199,7 +251,7 @@ def decompose(g: SimplicialGraph) -> Union[Cotree, NotCograph]:
             return NotCograph(p4)
         slot = len(nodes)
         nodes.append([kind, None, []])
-        stack.extend((part, slot) for part in reversed(parts))
+        stack.extend((part, slot, low, high) for part in reversed(parts))
     built = [None] * len(nodes)
     for slot in reversed(range(len(nodes))):
         kind, vertex, kids = nodes[slot]

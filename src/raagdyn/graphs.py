@@ -320,26 +320,35 @@ class _FirstMention(dict):
 def parse_edge_list(text: str) -> SimplicialGraph:
     """Parse "u v" edge lines and "vertex u" declarations.
 
-    Blank lines and lines starting with "#" are skipped.  Vertices appear in
-    first-mention order.
+    Blank lines and lines starting with "#" are skipped, so no vertex name
+    may start with "#".  Vertices appear in first-mention order.
     """
+    return _read_edge_lines(text.splitlines())
+
+
+def _read_edge_lines(lines: list[str]) -> SimplicialGraph:
     pos = _FirstMention()
     rows = pos.rows
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         tokens = raw.split()
-        if not tokens or tokens[0][0] == "#":
-            continue
-        if tokens[0] == "vertex":
-            if len(tokens) != 2:
-                raise GraphParseError("expected 'vertex NAME'", lineno)
-            pos[tokens[1]]  # numbers the vertex if it is new
-        elif len(tokens) == 2:
+        if len(tokens) == 2:  # an edge, a declaration or a comment
             u, v = tokens
-            if u == v:
+            if u[0] == "#":
+                continue
+            if v[0] == "#":
+                raise GraphParseError(f"vertex name {v!r} starts with '#'", lineno)
+            if u == "vertex":
+                pos[v]  # numbers the vertex if it is new
+            elif u == v:
                 raise GraphParseError(f"loop at vertex {u!r}", lineno)
-            i, j = pos[u], pos[v]
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
+            else:
+                i, j = pos[u], pos[v]
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        elif not tokens or tokens[0][0] == "#":
+            continue
+        elif tokens[0] == "vertex":
+            raise GraphParseError("expected 'vertex NAME'", lineno)
         else:
             raise GraphParseError(f"cannot parse {raw.strip()!r}", lineno)
     return pos.graph()
@@ -361,43 +370,47 @@ _DOT_ID = re.compile(r"(?![0-9])(?:[0-9A-Za-z_]|[^\x00-\x7f])+|-?(?:\.[0-9]+|[0-
 _DOT_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})
 
 
+def _dot_name(v: str) -> str:
+    """v itself if it is an unquoted DOT ID and no DOT keyword in any letter case."""
+    if not _DOT_ID.fullmatch(v) or v.lower() in _DOT_KEYWORDS:
+        raise GraphParseError(f"unexpected token {v!r}")
+    return v
+
+
 def parse_dot(text: str) -> SimplicialGraph:
     """Parse an undirected DOT graph: names, "--" edges, "//" comments.
 
-    A name is an unquoted DOT ID and no keyword; attributes, quoted IDs,
-    subgraphs and anything after the closing "}" are refused.
+    Keywords match in any case.  A graph or vertex name is an unquoted DOT
+    ID and no keyword; attributes, quoted IDs, subgraphs and anything after
+    the closing "}" are refused.
     """
     tokens = _DOT_TOKEN.findall("\n".join(raw.split("//", 1)[0] for raw in text.splitlines()))
-    i = 1 if tokens[:1] == ["strict"] else 0
-    if tokens[i:i + 1] != ["graph"]:
+    head = [t.lower() for t in tokens[:2]]
+    i = 1 if head[:1] == ["strict"] else 0
+    if head[i:i + 1] != ["graph"]:
         raise GraphParseError("expected 'graph' keyword")
     i += 1
-    if tokens[i:i + 1] != ["{"]:
-        i += 1  # optional graph name
+    if tokens[i:i + 1] not in ([], ["{"]):
+        _dot_name(tokens[i])  # optional graph name
+        i += 1
     if tokens[i:i + 1] != ["{"]:
         raise GraphParseError("expected '{'")
     i += 1
 
     pos = _FirstMention()
     rows = pos.rows
-
-    def declare(v: str) -> int:
-        if not _DOT_ID.fullmatch(v) or v.lower() in _DOT_KEYWORDS:
-            raise GraphParseError(f"unexpected token {v!r}")
-        return pos[v]
-
     while i < len(tokens) and tokens[i] != "}":
         if tokens[i] == ";":
             i += 1
             continue
         u = tokens[i]
-        a = declare(u)
+        a = pos[_dot_name(u)]
         i += 1
         while i < len(tokens) and tokens[i] == "--":
             if i + 1 >= len(tokens):
                 raise GraphParseError("dangling '--'")
             v = tokens[i + 1]
-            b = declare(v)
+            b = pos[_dot_name(v)]
             if u == v:
                 raise GraphParseError(f"loop at vertex {u!r}")
             rows[a] |= 1 << b
@@ -425,8 +438,9 @@ def format_dot(g: SimplicialGraph) -> str:
 
 
 def load_graph(text: str) -> SimplicialGraph:
-    """DOT if the first line parse_edge_list would read starts with graph/strict, else edge list."""
-    # parse_edge_list's skip rule on the same tokens; a line generator shared
-    # with it made edge-list loading about 15% slower
-    first = next((t[0] for t in map(str.split, text.splitlines()) if t and t[0][0] != "#"), None)
-    return parse_dot(text) if first in ("graph", "strict") else parse_edge_list(text)
+    """DOT if the first line parse_edge_list would read starts with graph/strict in any case, else edge list."""
+    # parse_edge_list's skip rule on the same lines, which the edge-list
+    # reader then reads without splitting the text again
+    lines = text.splitlines()
+    first = next((t[0] for t in map(str.split, lines) if t and t[0][0] != "#"), "")
+    return parse_dot(text) if first.lower() in ("graph", "strict") else _read_edge_lines(lines)

@@ -56,6 +56,9 @@ def parse_edge_list(text: str) -> RefGraph:
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
+        if len(tokens) == 2 and tokens[1].startswith("#"):
+            # such a name would be written back at the start of a line
+            raise GraphParseError(f"vertex name {tokens[1]!r} starts with '#'", lineno)
         if tokens[0] == "vertex":
             if len(tokens) != 2:
                 raise GraphParseError("expected 'vertex NAME'", lineno)
@@ -103,12 +106,14 @@ def parse_dot(text: str) -> RefGraph:
         .split()
     )
     i = 0
-    if i < len(tokens) and tokens[i] == "strict":
+    if i < len(tokens) and tokens[i].lower() == "strict":
         i += 1
-    if i >= len(tokens) or tokens[i] != "graph":
+    if i >= len(tokens) or tokens[i].lower() != "graph":
         raise GraphParseError("expected 'graph' keyword")
     i += 1
     if i < len(tokens) and tokens[i] != "{":
+        if not is_dot_id(tokens[i]):
+            raise GraphParseError(f"unexpected token {tokens[i]!r}")
         i += 1
     if i >= len(tokens) or tokens[i] != "{":
         raise GraphParseError("expected '{'")
@@ -154,7 +159,7 @@ def load_graph(text: str) -> RefGraph:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.split()[0] in ("graph", "strict"):
+        if line.split()[0].lower() in ("graph", "strict"):
             return parse_dot(text)
         break
     return parse_edge_list(text)

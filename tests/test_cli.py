@@ -78,6 +78,8 @@ class TestClassify:
         ('graph { "a" -- b }', "'\"a\"'"),
         ("graph { a -- b } c -- d", "'c'"),
         ("graph { a -- b }\ngraph { e }", "'graph'"),
+        ("graph [x=1] { a -- b }", "'[x=1]'"),
+        ("graph node { a -- b }", "'node'"),
     ])
     def test_dot_outside_subset_exits_2(self, tmp_path, capsys, text, token):
         """DOT syntax outside the read subset is refused, never read as vertex names."""
@@ -87,6 +89,22 @@ class TestClassify:
         err = json.loads(capsys.readouterr().err)["error"]
         assert rc == 2 and out == ""
         assert err["type"] == "GraphParseError" and f"unexpected token {token}" in err["message"]
+
+    @pytest.mark.parametrize("text", ["GRAPH { a -- b }", "Strict Graph G { a -- b }"])
+    def test_dot_keywords_in_any_case(self, tmp_path, text):
+        p = tmp_path / "g.dot"
+        p.write_text(text + "\n")
+        rc, out = run(tmp_path, "classify", "--input", str(p), "--format", "text")
+        assert rc == 0 and "level: 1" in out.splitlines()
+
+    def test_hash_vertex_name_exits_2(self, tmp_path, capsys):
+        """A name starting with "#" would be written back as a comment, so it is refused."""
+        p = tmp_path / "g.txt"
+        p.write_text("vertex a\na #x\n")
+        rc, out = run(tmp_path, "classify", "--input", str(p))
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert rc == 2 and out == ""
+        assert err == {"type": "GraphParseError", "message": "line 2: vertex name '#x' starts with '#'"}
 
     def test_dot_c4_is_level_3(self, tmp_path):
         p = tmp_path / "c4.dot"

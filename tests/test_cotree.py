@@ -235,8 +235,43 @@ def reordered_graphs(draw, max_n=10):
     return SimplicialGraph.build(order, [p for p, k in zip(pairs, keep) if k])
 
 
+def perfect_matching(n):
+    vs = [f"m{i}" for i in range(n)]
+    return SimplicialGraph.build(vs, zip(vs[::2], vs[1::2]))
+
+
+def disjoint_triangles(n):
+    vs = [f"t{i}" for i in range(n)]
+    return SimplicialGraph.build(vs, [e for k in range(0, n, 3) for e in itertools.combinations(vs[k:k + 3], 2)])
+
+
+def star(n):
+    vs = [f"s{i}" for i in range(n)]
+    return SimplicialGraph.build(vs, [(vs[0], v) for v in vs[1:]])
+
+
+def cocktail_party(n):
+    """K_n less a perfect matching."""
+    vs = [f"c{i}" for i in range(n)]
+    return SimplicialGraph.build(vs, [(vs[i], vs[j]) for i, j in itertools.combinations(range(n), 2) if j != i ^ 1])
+
+
+SHAPES = (perfect_matching, disjoint_triangles, star, cocktail_party)
+
+
+def shuffled(g, seed):
+    order = list(g.vertices)
+    Random(seed).shuffle(order)
+    return SimplicialGraph.build(order, g.edges)
+
+
 class TestAgainstReference:
     """The bitmask split and mask-driven scans give the reference's exact output."""
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_shapes_with_shuffled_orders(self, shape):
+        for seed in range(3):
+            assert_matches_reference(shuffled(shape(24), seed))
 
     def test_enumeration_with_shuffled_orders(self):
         rng = Random(4)
@@ -251,6 +286,46 @@ class TestAgainstReference:
     @given(reordered_graphs())
     def test_reordered_graphs(self, g):
         assert_matches_reference(g)
+
+
+class CountingRows(tuple):
+    """Adjacency rows that count how often decompose reads one."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def row_reads(g):
+    rows = CountingRows(g._bits)
+    decompose(SimplicialGraph(g.vertices, rows))
+    return rows.reads
+
+
+class TestRowReads:
+    """Each BFS round reads the smaller side, and splits start at degree-ordered seeds."""
+
+    def test_threshold_chain_grows_linearly(self):
+        # a BFS from the lowest vertex reads about n^2/2 rows: 31,624 at n = 250
+        reads = [row_reads(shuffled(ref.threshold_graph(n), n)) for n in (250, 500, 1000, 2000)]
+        assert reads[0] < 600
+        assert all(b <= 2.2 * a for a, b in zip(reads, reads[1:]))
+
+    # a plain split reads every vertex of its part once: n for the root's
+    # components, n more for its co-components when it is a join, and each
+    # vertex once more in the split of its part below, unless that part is
+    # a single vertex
+    @pytest.mark.parametrize("shape, n, plain", [
+        (perfect_matching, 800, 800 + 800),
+        (disjoint_triangles, 798, 798 + 798),
+        (star, 800, 800 + 800 + 799),
+        (cocktail_party, 800, 800 + 800 + 800),
+    ])
+    def test_no_more_than_a_plain_split(self, shape, n, plain):
+        for seed in range(3):
+            assert row_reads(shuffled(shape(n), seed)) <= plain
 
 
 class TestCotreeDunders:

@@ -259,6 +259,15 @@ class TestFormats:
     def test_load_graph_sniffs(self):
         assert load_graph("graph { a -- b; }").n == 2
         assert load_graph("# comment\n1 2\n").n == 2
+        assert load_graph("STRICT Graph { a -- b; }").n == 2
+
+    def test_hash_names_refused_so_edge_lists_read_back(self):
+        for text, line in [("vertex #x\n", 1), ("vertex a\na #x\n", 2)]:
+            with pytest.raises(GraphParseError, match="vertex name '#x' starts with '#'") as err:
+                parse_edge_list(text)
+            assert err.value.line == line
+        g = parse_edge_list("vertex x#\na x#\n")
+        assert parse_edge_list(format_edge_list(g)) == g
 
     def test_dot_missing_brace(self):
         with pytest.raises(GraphParseError):
@@ -379,6 +388,26 @@ class TestLoaderAgainstReference:
         "graph { 1a -- b }",
         "graph { Edge -- b }",
         "graph { a -- - }",
+        "# x\na b\n",
+        "a b\nvertex\n",
+        "vertex a b c\n",
+        "a vertex\nvertex vertex\n",
+        "a b\nb a\na b\n",
+        "a b\nvertex c\nvertex b\nc a\n",
+        "vertex #x\n",
+        "vertex a\na #x\n",
+        "#x a\n",
+        "a # comment\n",
+        "Graph x\n",
+        "GRAPH { a -- b }",
+        "Strict Graph G { a -- b }",
+        "strict digraph { a -- b }",
+        "graph [x=1] { a -- b }",
+        "graph node { a -- b }",
+        "graph Node { a -- b }",
+        "graph 1a { a -- b }",
+        "graph ; { a -- b }",
+        "graph } { a -- b }",
     ])
     def test_fixed_inputs(self, text):
         assert_loads_like_reference(text)
